@@ -17,9 +17,9 @@ from . import families as fam
 from . import penalty as pen
 from . import rules
 from . import simulate as sim
-from .design import DesignError, SurveyDesign
+from .design import DesignError, MeatStructure, SurveyDesign
 from .families import Family, FamilyKind, Loss, LossKind
-from .fit import FitError, fit_weighted_glm
+from .fit import FitError, fit_weighted_glm, sandwich_variance
 
 __all__ = ["main", "mdrd_gfr", "SchemaError"]
 
@@ -88,22 +88,19 @@ def load_dataset(
     """Read an RFC-4180 CSV into (X, y, design), rejecting rows with gaps."""
     if (weight_col is None) == (pi_col is None):
         raise SchemaError("exactly one of a weight column or a pi column is required")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise SchemaError("CSV file has no header row")
-            needed = [outcome, *covariates]
-            needed.append(weight_col if weight_col is not None else pi_col)
-            for col in (strata_col, psu_col):
-                if col is not None:
-                    needed.append(col)
-            missing = [c for c in needed if c not in reader.fieldnames]
-            if missing:
-                raise SchemaError(f"missing column(s): {', '.join(missing)}")
-            rows = list(reader)
-    except OSError as exc:
-        raise exc
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise SchemaError("CSV file has no header row")
+        needed = [outcome, *covariates]
+        needed.append(weight_col if weight_col is not None else pi_col)
+        for col in (strata_col, psu_col):
+            if col is not None:
+                needed.append(col)
+        missing = [c for c in needed if c not in reader.fieldnames]
+        if missing:
+            raise SchemaError(f"missing column(s): {', '.join(missing)}")
+        rows = list(reader)
     kept, dropped = [], 0
     for row in rows:
         if any(row.get(c) in (None, "") for c in needed):
@@ -178,6 +175,8 @@ def cmd_fit(args) -> int:
         raise SchemaError("bernoulli outcome column must be 0/1")
     f = fit_weighted_glm(X, y, family, design)
     loss = Loss(LossKind.DEVIANCE, f.family)
+    clustered = bool(args.strata and args.psu)
+    structure = MeatStructure.STRATIFIED_CLUSTER if clustered else MeatStructure.INDEPENDENT
     if args.method == "hte-bootstrap":
         rule = pen.glm_rule(family, loss)
         report = pen.hte_bootstrap(
@@ -185,10 +184,8 @@ def cmd_fit(args) -> int:
             B=args.B, seed=args.seed, loss=loss,
         )
     else:
-        report = pen.hte_analytic(f, loss=loss)
-    from .fit import sandwich_variance
-
-    sw = sandwich_variance(f)
+        report = pen.hte_analytic(f, loss=loss, structure=structure)
+    sw = sandwich_variance(f, structure)
     out = {
         "theta": list(f.theta),
         "v_diagonal": list(np.diag(sw.V)),

@@ -81,12 +81,15 @@ class SurveyDesign:
                     raise DesignError(f"{name} must have the same length as pi")
                 object.__setattr__(self, name, v)
         if self.psu is not None and self.strata is not None:
-            # each PSU must live inside a single stratum
-            seen: dict = {}
-            for h, j in zip(self.strata, self.psu):
-                if j in seen and seen[j] != h:
-                    raise DesignError(f"PSU {j!r} spans strata {seen[j]!r} and {h!r}")
-                seen[j] = h
+            # each PSU must live inside a single stratum.  Sorted stably by
+            # PSU, a unit breaks this where its stratum differs from that of
+            # the PSU's previous unit; name the earliest such unit in row order
+            order = np.argsort(self.psu, kind="stable")
+            j, h = self.psu[order], self.strata[order]
+            breaks = np.flatnonzero((j[1:] == j[:-1]) & (h[1:] != h[:-1])) + 1
+            if breaks.size:
+                k = breaks[np.argmin(order[breaks])]
+                raise DesignError(f"PSU {j[k]!r} spans strata {h[k - 1]!r} and {h[k]!r}")
 
     @property
     def n(self) -> int:
@@ -162,6 +165,11 @@ def meat_independent(X, residuals, design: SurveyDesign) -> MeatMatrix:
     return MeatMatrix(matrix=(V + V.T) / 2.0, structure=MeatStructure.INDEPENDENT)
 
 
+def _segment_sums(group, X, n_groups: int) -> np.ndarray:
+    """Column sums of ``X`` (n, p) within each of ``n_groups`` groups."""
+    return np.stack([np.bincount(group, x, n_groups) for x in X.T], axis=1)
+
+
 def meat_stratified_cluster(
     X,
     residuals,
@@ -176,47 +184,42 @@ def meat_stratified_cluster(
     a stratum of singleton PSUs contributes no cross terms and the result
     collapses to :func:`meat_independent`.  ``center_diagonal`` applies
     the same centering to the same-PSU blocks as well.
+
+    Cost O(n p) plus one sort of the labels, from segment sums: rows u_c
+    and v_c of U and C sum x_i w_i r_i over PSU c, with r_i raw and centered
+    at the PSU mean; row s_h of S sums the v_c of stratum h.  Then V_U =
+    (D^T D + S^T S - C^T C) / N^2 with D = C if ``center_diagonal`` else U;
+    certainty PSUs add their units' independent outer products instead.
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(residuals, dtype=float)
     if design.strata is None or design.psu is None:
         raise DesignError("stratified meat requires stratum and PSU labels")
-    if X.shape[0] != r.shape[0]:
-        raise DesignError("X and residuals must align")
+    if X.shape[0] != r.shape[0] or r.shape != design.pi.shape:
+        raise DesignError("X, residuals, and design must align")
+    # PSUs nest in strata (SurveyDesign checks it), so the PSU label alone
+    # identifies a cell and maps it to one stratum
+    strata, h = np.unique(design.strata, return_inverse=True)
+    psus, first, cell = np.unique(design.psu, return_index=True, return_inverse=True)
+    n_cells, stratum_of_cell = len(psus), h[first]
+    lonely = np.bincount(stratum_of_cell, minlength=len(strata)) < 2
+    if lonely.any() and not certainty_single_psu:
+        raise DesignError(
+            f"stratum {strata[np.argmax(lonely)]!r} has a single PSU; variance within "
+            "one cluster is unidentifiable (pass certainty_single_psu=True to treat "
+            "its units as independently sampled)"
+        )
     w = design.weights
-    N = design.pop_size
-    p = X.shape[1]
-
-    V = np.zeros((p, p))
-    for h in np.unique(design.strata):
-        in_h = design.strata == h
-        psus = np.unique(design.psu[in_h])
-        if len(psus) < 2 and not certainty_single_psu:
-            raise DesignError(
-                f"stratum {h!r} has a single PSU; variance within one cluster is "
-                "unidentifiable (pass certainty_single_psu=True to treat its "
-                "units as independently sampled)"
-            )
-        raw_terms = []  # per-PSU weighted score sums, raw residuals
-        cen_terms = []  # same, residuals centered at the PSU mean prediction
-        for j in psus:
-            in_j = in_h & (design.psu == j)
-            if len(psus) < 2:
-                # certainty PSU: its units contribute independently
-                A = X[in_j] * (w[in_j] * r[in_j])[:, None]
-                V += A.T @ A
-                continue
-            u = X[in_j].T @ (w[in_j] * r[in_j])
-            v = X[in_j].T @ (w[in_j] * (r[in_j] - r[in_j].mean()))
-            raw_terms.append(u)
-            cen_terms.append(v)
-        if not raw_terms:
-            continue
-        U = np.array(raw_terms)
-        C = np.array(cen_terms)
-        diag_terms = C if center_diagonal else U
-        # sum over same-PSU blocks plus all cross-PSU centered blocks
-        s = C.sum(axis=0)
-        V += diag_terms.T @ diag_terms + np.outer(s, s) - C.T @ C
-    V /= N**2
+    rbar = np.bincount(cell, r, n_cells) / np.bincount(cell, minlength=n_cells)
+    U = _segment_sums(cell, X * (w * r)[:, None], n_cells)
+    C = _segment_sums(cell, X * (w * (r - rbar[cell]))[:, None], n_cells)
+    # certainty PSUs (alone in their stratum): units contribute independently
+    unit = lonely[h]
+    A = X[unit] * (w[unit] * r[unit])[:, None]
+    cluster = ~lonely[stratum_of_cell]
+    U, C, stratum_of_cell = U[cluster], C[cluster], stratum_of_cell[cluster]
+    S = _segment_sums(stratum_of_cell, C, len(strata))
+    D = C if center_diagonal else U
+    # same-PSU blocks plus all cross-PSU centered blocks
+    V = (A.T @ A + D.T @ D + S.T @ S - C.T @ C) / design.pop_size**2
     return MeatMatrix(matrix=(V + V.T) / 2.0, structure=MeatStructure.STRATIFIED_CLUSTER)

@@ -63,6 +63,7 @@ class PenaltyReport:
             "B": self.B,
             "phi_hat": self.phi_hat,
             "rho_hat": self.rho_hat,
+            "dropped_replicates": self.dropped_replicates,
         }
 
 
@@ -203,25 +204,23 @@ def estimate_dispersion(fit: GlmFit) -> tuple[float, float]:
     rho-hat pools pairwise within-PSU products of Pearson residuals over
     all PSUs (pair-count weighting); phi-hat = 1 + (nbar - 1) rho-hat at
     the average PSU size.  All-singleton designs return (0, 1).
+
+    Cost O(n) plus one sort of the PSU labels, from segment sums: per PSU
+    the size m, sum e and sum e^2 of the Pearson residuals e give its
+    pair-product sum ((sum e)^2 - sum e^2) / 2.
     """
     design = fit.design
     if design.psu is None:
         raise ValueError("dispersion estimation requires PSU labels")
     v = np.asarray(fam.variance(fit.family, fit.mu))
     e = (fit.y - fit.mu) / np.sqrt(v)
-    num = 0.0
-    npairs = 0
-    sizes = []
-    for j in np.unique(design.psu):
-        ej = e[design.psu == j]
-        m = len(ej)
-        sizes.append(m)
-        if m >= 2:
-            num += (ej.sum() ** 2 - (ej**2).sum()) / 2.0
-            npairs += m * (m - 1) // 2
+    _, psu = np.unique(design.psu, return_inverse=True)
+    sizes = np.bincount(psu)
+    npairs = int((sizes * (sizes - 1) // 2).sum())
     if npairs == 0:
         warnings.warn("all PSUs are singletons; rho is undefined, returning (0, 1)")
         return 0.0, 1.0
+    num = float((np.bincount(psu, e) ** 2 - np.bincount(psu, e * e)).sum()) / 2.0
     rho = num / (npairs * float(np.mean(e**2)))
     nbar = float(np.mean(sizes))
     phi = 1.0 + (nbar - 1.0) * rho

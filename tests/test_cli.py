@@ -168,6 +168,46 @@ class TestCmdFit:
         pb = saved["p_hat_bootstrap"]
         assert pb["q025"] <= pb["median"] <= pb["q975"]
 
+    @staticmethod
+    def _clustered_csv(path, psu_per_stratum=(4, 4, 4)):
+        # string labels as the CLI reads them; PSU labels unique across strata
+        rng = np.random.default_rng(6)
+        rows = []
+        for h, n_psu in enumerate(psu_per_stratum):
+            for j in range(n_psu):
+                effect = rng.normal(scale=1.0)
+                for _ in range(15):
+                    x1 = rng.normal()
+                    prob = 1.0 / (1.0 + np.exp(-(0.2 + x1 + effect)))
+                    y = float(rng.random() < prob)
+                    rows.append([y, x1, rng.uniform(1.0, 3.0), f"s{h}", f"s{h}-p{j}"])
+        _write_csv(path, ["y", "x1", "w", "stratum", "cluster"], rows)
+        return str(path)
+
+    def test_strata_psu_select_stratified_meat(self, tmp_path, capsys):
+        path = self._clustered_csv(tmp_path / "clustered.csv")
+        base = ["fit", "--data", path, "--outcome", "y", "--covariates", "x1",
+                "--weights", "w", "--family", "bernoulli", "--seed", "1"]
+        outs = []
+        for extra in ([], ["--strata", "stratum", "--psu", "cluster"]):
+            assert main(base + extra) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        independent, clustered = outs
+        assert clustered["theta"] == independent["theta"]
+        assert not np.allclose(clustered["v_diagonal"], independent["v_diagonal"], rtol=1e-3)
+        assert clustered["omega_hat"] != pytest.approx(independent["omega_hat"], rel=1e-3)
+
+    def test_single_psu_stratum_numeric_exit(self, tmp_path, capsys):
+        path = self._clustered_csv(tmp_path / "lonely.csv", psu_per_stratum=(3, 1, 3))
+        code = main([
+            "fit", "--data", path, "--outcome", "y", "--covariates", "x1",
+            "--weights", "w", "--family", "bernoulli", "--seed", "1",
+            "--strata", "stratum", "--psu", "cluster",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'s1'" in err and "has a single PSU" in err
+
     def test_missing_weight_column_schema_exit(self, gaussian_csv):
         code = main([
             "fit", "--data", gaussian_csv, "--outcome", "y",

@@ -16,6 +16,47 @@ from svyerr.design import (
 )
 
 
+def _loop_nesting_error(strata, psu):
+    """Reference PSU-in-one-stratum check: a scan over the rows in order."""
+    seen: dict = {}
+    for h, j in zip(strata, psu):
+        if j in seen and seen[j] != h:
+            return f"PSU {j!r} spans strata {seen[j]!r} and {h!r}"
+        seen[j] = h
+    return None
+
+
+def _loop_meat_stratified_cluster(
+    X, r, design, center_diagonal=False, certainty_single_psu=False
+):
+    """Reference stratified/PSU meat: one full-sample mask per stratum and PSU."""
+    w = design.weights
+    V = np.zeros((X.shape[1], X.shape[1]))
+    for h in np.unique(design.strata):
+        in_h = design.strata == h
+        psus = np.unique(design.psu[in_h])
+        assert len(psus) >= 2 or certainty_single_psu
+        raw_terms = []
+        cen_terms = []
+        for j in psus:
+            in_j = in_h & (design.psu == j)
+            if len(psus) < 2:
+                A = X[in_j] * (w[in_j] * r[in_j])[:, None]
+                V += A.T @ A
+                continue
+            raw_terms.append(X[in_j].T @ (w[in_j] * r[in_j]))
+            cen_terms.append(X[in_j].T @ (w[in_j] * (r[in_j] - r[in_j].mean())))
+        if not raw_terms:
+            continue
+        U = np.array(raw_terms)
+        C = np.array(cen_terms)
+        diag_terms = C if center_diagonal else U
+        s = C.sum(axis=0)
+        V += diag_terms.T @ diag_terms + np.outer(s, s) - C.T @ C
+    V /= design.pop_size**2
+    return (V + V.T) / 2.0
+
+
 class TestSurveyDesign:
     def test_weights_default_to_inverse_pi(self):
         d = SurveyDesign(pi=np.array([0.25, 0.5]))
@@ -42,12 +83,28 @@ class TestSurveyDesign:
             SurveyDesign(pi=np.array([0.5, 0.5]), weights=np.array([1.0, -1.0]))
 
     def test_psu_spanning_strata_rejected(self):
-        with pytest.raises(DesignError):
+        with pytest.raises(DesignError, match=r"PSU .*1.* spans strata .*'a'.* and .*'b'"):
             SurveyDesign(
                 pi=np.array([0.5, 0.5]),
                 strata=np.array(["a", "b"]),
                 psu=np.array([1, 1]),
             )
+
+    def test_nesting_check_matches_loop_oracle(self):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            psu = rng.choice([3, 8, 20, 41], size=n)
+            strata = rng.choice(["x", "y", "z"], size=n)
+            if rng.random() < 0.5:  # nested half the time
+                strata = np.array(["x", "y", "z", "x"])[np.searchsorted([3, 8, 20, 41], psu)]
+            want = _loop_nesting_error(strata, psu)
+            if want is None:
+                SurveyDesign(pi=np.full(n, 0.5), strata=strata, psu=psu)
+            else:
+                with pytest.raises(DesignError) as exc:
+                    SurveyDesign(pi=np.full(n, 0.5), strata=strata, psu=psu)
+                assert str(exc.value) == want
 
     def test_from_weights(self):
         d = SurveyDesign.from_weights([4.0, 2.0])
@@ -197,6 +254,14 @@ class TestMeatStratifiedCluster:
         with pytest.raises(DesignError, match="single PSU"):
             meat_stratified_cluster(np.ones((3, 1)), np.ones(3), d)
 
+    def test_single_psu_error_names_first_stratum_in_label_order(self):
+        # strata c and b each hold one PSU; b comes first in sorted order
+        strata = np.array(["c", "a", "b", "a", "b"])
+        psu = np.array([5, 1, 4, 2, 4])
+        d = SurveyDesign(pi=np.full(5, 0.5), strata=strata, psu=psu)
+        with pytest.raises(DesignError, match=r"^stratum .*'b'.* has a single PSU; "):
+            meat_stratified_cluster(np.ones((5, 1)), np.ones(5), d)
+
     def test_certainty_single_psu_treated_independent(self):
         rng = np.random.default_rng(8)
         n = 6
@@ -227,6 +292,57 @@ class TestMeatStratifiedCluster:
             r = rng.normal(size=n)
             M = meat_stratified_cluster(X, r, d).matrix
             np.testing.assert_allclose(M, M.T, atol=1e-15)
+
+    def test_matches_loop_oracle_random_designs(self):
+        rng = np.random.default_rng(16)
+        for trial in range(300):
+            n_strata = int(rng.integers(1, 5))
+            psus_per_stratum = rng.integers(1, 5, size=n_strata)
+            certainty = bool(np.any(psus_per_stratum == 1))
+            if certainty and rng.random() < 0.3:
+                psus_per_stratum[psus_per_stratum == 1] = 2
+                certainty = False
+            n_psu = int(psus_per_stratum.sum())
+            psu_stratum = np.repeat(np.arange(n_strata), psus_per_stratum)
+            sizes = rng.integers(1, 5, size=n_psu)  # singleton PSUs included
+            cell = np.repeat(np.arange(n_psu), sizes)
+            n = int(sizes.sum())
+            # non-contiguous integer or string labels, rows shuffled
+            psu_labels = rng.choice(1000, size=n_psu, replace=False) * 3 + 7
+            stratum_labels = rng.choice(50, size=n_strata, replace=False) * 5 - 40
+            if trial % 2:
+                psu_labels = np.array([f"psu-{v}" for v in psu_labels])
+                stratum_labels = np.array([f"s{v}" for v in stratum_labels])
+            order = rng.permutation(n)
+            psu = psu_labels[cell][order]
+            strata = stratum_labels[psu_stratum[cell]][order]
+            d = SurveyDesign(pi=rng.uniform(0.1, 1.0, size=n), strata=strata, psu=psu)
+            X = rng.normal(size=(n, int(rng.integers(1, 4))))
+            r = rng.normal(size=n)
+            for center_diagonal in (False, True):
+                kw = dict(center_diagonal=center_diagonal, certainty_single_psu=certainty)
+                got = meat_stratified_cluster(X, r, d, **kw).matrix
+                want = _loop_meat_stratified_cluster(X, r, d, **kw)
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1e-300)
+                )
+
+    def test_matches_loop_oracle_large_design(self):
+        # n = 100,000 units in 50 strata x 100 PSUs, rows shuffled
+        rng = np.random.default_rng(17)
+        n_strata, psus_per_stratum, size = 50, 100, 20
+        n_psu = n_strata * psus_per_stratum
+        cell = np.repeat(np.arange(n_psu), size)
+        order = rng.permutation(n_psu * size)
+        psu = (cell * 3 + 11)[order]
+        strata = (cell // psus_per_stratum)[order]
+        d = SurveyDesign(pi=rng.uniform(0.02, 0.2, size=n_psu)[cell][order],
+                         strata=strata, psu=psu)
+        X = np.column_stack([np.ones(d.n), rng.normal(size=(d.n, 3))])
+        r = rng.normal(size=d.n) + rng.normal(size=n_psu)[cell][order]
+        got = meat_stratified_cluster(X, r, d).matrix
+        want = _loop_meat_stratified_cluster(X, r, d)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_center_diagonal_toggle_changes_same_psu_blocks(self):
         rng = np.random.default_rng(12)

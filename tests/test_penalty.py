@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from svyerr import families as fam
 from svyerr.design import SurveyDesign
 from svyerr.families import Family, FamilyKind, Loss, LossKind
 from svyerr.fit import fit_weighted_glm, sandwich_variance
@@ -22,6 +23,24 @@ GAUSS = Family(FamilyKind.GAUSSIAN)
 BERN = Family(FamilyKind.BERNOULLI)
 POIS = Family(FamilyKind.POISSON)
 SQERR = Loss(LossKind.SQUARED_ERROR)
+
+
+def _loop_estimate_dispersion(fit):
+    """Reference rho-hat and phi-hat: one full-sample mask per PSU."""
+    v = np.asarray(fam.variance(fit.family, fit.mu))
+    e = (fit.y - fit.mu) / np.sqrt(v)
+    num = 0.0
+    npairs = 0
+    sizes = []
+    for j in np.unique(fit.design.psu):
+        ej = e[fit.design.psu == j]
+        m = len(ej)
+        sizes.append(m)
+        if m >= 2:
+            num += (ej.sum() ** 2 - (ej**2).sum()) / 2.0
+            npairs += m * (m - 1) // 2
+    rho = num / (npairs * float(np.mean(e**2)))
+    return rho, 1.0 + (float(np.mean(sizes)) - 1.0) * rho
 
 
 def _gaussian_instance(rng, n=60, p=3, uniform=False):
@@ -194,6 +213,40 @@ class TestEstimateDispersion:
         with pytest.warns(UserWarning, match="singleton"):
             assert estimate_dispersion(f) == (0.0, 1.0)
 
+    def test_matches_loop_oracle_random_designs(self):
+        rng = np.random.default_rng(18)
+        for trial in range(100):
+            n_psu = int(rng.integers(2, 12))
+            sizes = rng.integers(1, 6, size=n_psu)  # singleton PSUs included
+            sizes[0] = max(sizes[0], 2)
+            cell = np.repeat(np.arange(n_psu), sizes)
+            n = int(sizes.sum())
+            labels = rng.choice(500, size=n_psu, replace=False) * 4 + 9
+            if trial % 2:
+                labels = np.array([f"c{v}" for v in labels])
+            order = rng.permutation(n)
+            d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n),
+                             strata=np.zeros(n, dtype=int), psu=labels[cell][order])
+            y = (rng.random(n) < 0.4).astype(float)
+            y[:2] = (0.0, 1.0)
+            f = fit_weighted_glm(np.ones((n, 1)), y, BERN, d)
+            got = estimate_dispersion(f)
+            want = _loop_estimate_dispersion(f)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_matches_loop_oracle_large_design(self):
+        # n = 100,000 units in 5,000 PSUs of 20, rows shuffled
+        rng = np.random.default_rng(19)
+        n_psu, size = 5_000, 20
+        cell = np.repeat(np.arange(n_psu), size)[rng.permutation(n_psu * size)]
+        n = cell.size
+        p = 1.0 / (1.0 + np.exp(-rng.normal(scale=0.7, size=n_psu)))[cell]
+        y = (rng.random(n) < p).astype(float)
+        d = SurveyDesign(pi=np.full(n, 0.1), strata=cell // 100, psu=cell * 2 + 1)
+        f = fit_weighted_glm(np.ones((n, 1)), y, BERN, d)
+        np.testing.assert_allclose(estimate_dispersion(f), _loop_estimate_dispersion(f),
+                                   rtol=1e-12)
+
     def test_requires_psu_labels(self):
         rng = np.random.default_rng(3)
         y = (rng.random(20) < 0.5).astype(float)
@@ -258,6 +311,22 @@ class TestHteBootstrap:
 
         with pytest.raises(FitError, match="replicates"):
             hte_bootstrap(flaky_rule, X, y, d, family_for_sim=GAUSS, B=20, seed=4, loss=SQERR)
+
+    def test_report_dict_carries_dropped_replicates(self):
+        rng = np.random.default_rng(15)
+        X, y, d = _gaussian_instance(rng, n=30)
+        calls = {"n": 0}
+
+        def flaky_rule(X_, y_, d_):
+            calls["n"] += 1
+            if calls["n"] in (3, 7):  # replicates 1 and 5 fail to train
+                raise ValueError("cannot train")
+            return RuleFit(mu=y_, lam=y_)
+
+        report = hte_bootstrap(flaky_rule, X, y, d, family_for_sim=GAUSS, B=20, seed=4,
+                               loss=SQERR)
+        assert report.dropped_replicates == 2
+        assert report.to_dict()["dropped_replicates"] == 2
 
     def test_rejects_tiny_b(self):
         rng = np.random.default_rng(15)
