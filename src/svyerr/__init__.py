@@ -2,8 +2,8 @@
 
 from .design import MeatStructure, SurveyDesign, ht_total, meat_independent, meat_stratified_cluster, validate_design
 from .families import Family, FamilyKind, Loss, LossKind, lambda_hat, loss_q, mean_to_natural, natural_to_mean, variance
-from .fit import GlmFit, SandwichVariance, fit_weighted_glm, information_J, sandwich_variance, working_residual
-from .penalty import PenaltyReport, aic_naive, daic, estimate_dispersion, hte_analytic, hte_bootstrap, in_sample_error
+from .fit import GlmFit, SandwichVariance, fit_weighted_glm, information_J, sandwich_variance
+from .penalty import PenaltyReport, aic_naive, estimate_dispersion, hte_analytic, hte_bootstrap, in_sample_error
 from .rules import knn_error_report, knn_predict, knn_train
 from .simulate import CaseControlSpec, ScenarioSpec, brute_force_optimism, draw_sample, generate_population, run_optimism_experiment, run_relative_error_experiment
 

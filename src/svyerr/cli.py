@@ -177,12 +177,26 @@ def cmd_fit(args) -> int:
     loss = Loss(LossKind.DEVIANCE, f.family)
     clustered = bool(args.strata and args.psu)
     structure = MeatStructure.STRATIFIED_CLUSTER if clustered else MeatStructure.INDEPENDENT
+    interval = {}
     if args.method == "hte-bootstrap":
+        # quasi-binomial correction: scale the penalty by the design effect
+        rho, phi = pen.estimate_dispersion(f) if args.psu else (None, 1.0)
+        # seed gives the reported penalty; seed + 1, ... re-run it under
+        # independent seeds for an empirical interval on the estimate
         rule = pen.glm_rule(family, loss)
-        report = pen.hte_bootstrap(
-            rule, X, y, design, family_for_sim=family,
-            B=args.B, seed=args.seed, loss=loss,
-        )
+        report, *reruns = [
+            pen.hte_bootstrap(
+                rule, X, y, design, family_for_sim=family,
+                B=args.B, seed=args.seed + s, loss=loss, phi_hat=phi, rho_hat=rho,
+            )
+            for s in range(1 + args.interval_runs)
+        ]
+        phats = [len(y) * r.omega_hat / 2.0 for r in reruns]
+        interval["p_hat_bootstrap"] = {
+            "median": float(np.median(phats)),
+            "q025": float(np.quantile(phats, 0.025)),
+            "q975": float(np.quantile(phats, 0.975)),
+        }
     else:
         report = pen.hte_analytic(f, loss=loss, structure=structure)
     sw = sandwich_variance(f, structure)
@@ -191,24 +205,8 @@ def cmd_fit(args) -> int:
         "v_diagonal": list(np.diag(sw.V)),
         "weighted_deviance": f.deviance_weighted,
         **report.to_dict(),
+        **interval,
     }
-    if args.method == "hte-bootstrap" and args.B:
-        # re-run the parametric bootstrap under independent seeds for an
-        # empirical interval on the penalty estimate
-        rule = pen.glm_rule(family, loss)
-        phats = []
-        for s in range(args.interval_runs):
-            rep = pen.hte_bootstrap(
-                rule, X, y, design, family_for_sim=family,
-                B=args.B, seed=args.seed + 1 + s, loss=loss,
-            )
-            phats.append(len(y) * rep.omega_hat / 2.0)
-        phats = np.sort(phats)
-        out["p_hat_bootstrap"] = {
-            "median": float(np.median(phats)),
-            "q025": float(np.quantile(phats, 0.025)),
-            "q975": float(np.quantile(phats, 0.975)),
-        }
     if args.out_json:
         write_json(args.out_json, out)
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -240,8 +238,16 @@ def cmd_knn(args) -> int:
     )
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise SchemaError("kNN requires a binary 0/1 outcome column")
+    phi = 1.0
+    if args.psu:
+        # design effect from the weighted logistic fit that generates the
+        # bootstrap outcomes (quasi-binomial correction)
+        bern = fit_weighted_glm(X, y, Family(FamilyKind.BERNOULLI), design)
+        _, phi = pen.estimate_dispersion(bern)
     Xc = X[:, 1:]  # no intercept column for a distance-based rule
-    reports = rules.knn_error_report(Xc, y, design, args.k, B=args.B, seed=args.seed)
+    reports = rules.knn_error_report(
+        Xc, y, design, args.k, B=args.B, seed=args.seed, phi_hat=phi
+    )
     rows = [
         {
             "k": k,
@@ -290,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="weighted GLM with dAIC/HTE report")
     add_data_args(p_fit)
     p_fit.add_argument("--family", choices=[k.value for k in FamilyKind], required=True)
-    p_fit.add_argument("--method", choices=["daic", "hte-analytic", "hte-bootstrap"],
+    p_fit.add_argument("--method", choices=["hte-analytic", "hte-bootstrap"],
                        default="hte-analytic")
     p_fit.add_argument("--B", type=int, default=200)
     p_fit.add_argument("--interval-runs", type=int, default=100)

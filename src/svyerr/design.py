@@ -16,11 +16,11 @@ import numpy as np
 
 __all__ = [
     "SurveyDesign",
-    "MeatMatrix",
     "MeatStructure",
     "DesignError",
     "DesignDiagnostics",
     "ht_total",
+    "psu_cells",
     "validate_design",
     "meat_independent",
     "meat_stratified_cluster",
@@ -44,7 +44,8 @@ class SurveyDesign:
         pi: inclusion probabilities, each in (0, 1].
         weights: sampling weights; default 1/pi.
         strata: stratum label per unit (optional).
-        psu: primary-sampling-unit label per unit, nested in strata (optional).
+        psu: primary-sampling-unit label per unit (optional).  A PSU is the
+            pair (stratum, label), so labels may repeat across strata.
         pop_size: population size N; defaults to round(sum of weights).
     """
 
@@ -80,16 +81,6 @@ class SurveyDesign:
                 if v.shape != pi.shape:
                     raise DesignError(f"{name} must have the same length as pi")
                 object.__setattr__(self, name, v)
-        if self.psu is not None and self.strata is not None:
-            # each PSU must live inside a single stratum.  Sorted stably by
-            # PSU, a unit breaks this where its stratum differs from that of
-            # the PSU's previous unit; name the earliest such unit in row order
-            order = np.argsort(self.psu, kind="stable")
-            j, h = self.psu[order], self.strata[order]
-            breaks = np.flatnonzero((j[1:] == j[:-1]) & (h[1:] != h[:-1])) + 1
-            if breaks.size:
-                k = breaks[np.argmin(order[breaks])]
-                raise DesignError(f"PSU {j[k]!r} spans strata {h[k - 1]!r} and {h[k]!r}")
 
     @property
     def n(self) -> int:
@@ -106,12 +97,6 @@ class SurveyDesign:
     def from_weights(cls, weights, **kwargs) -> "SurveyDesign":
         w = np.asarray(weights, dtype=float)
         return cls(pi=np.minimum(1.0, 1.0 / w), weights=w, **kwargs)
-
-
-@dataclass(frozen=True)
-class MeatMatrix:
-    matrix: np.ndarray
-    structure: MeatStructure
 
 
 @dataclass(frozen=True)
@@ -134,10 +119,29 @@ def ht_total(values, design: SurveyDesign) -> float:
     return float(design.weights @ values)
 
 
+def psu_cells(design: SurveyDesign) -> tuple[np.ndarray, np.ndarray]:
+    """Key PSUs by (stratum, PSU label), as R survey's ``svydesign(nest=TRUE)``.
+
+    Returns ``(cell, stratum_of_cell)``: the PSU cell of each unit, and the
+    stratum of each cell as its index in sorted stratum-label order.
+    Without stratum labels the whole sample is one stratum.  Cells are
+    ordered by PSU label, then stratum: with PSU labels unique across
+    strata, cell c is the c-th PSU label in sorted order.
+    """
+    if design.psu is None:
+        raise DesignError("PSU labels are required")
+    _, j = np.unique(design.psu, return_inverse=True)
+    if design.strata is None:
+        return j, np.zeros(j.max() + 1, dtype=j.dtype)
+    strata, h = np.unique(design.strata, return_inverse=True)
+    _, first, cell = np.unique(j * len(strata) + h, return_index=True, return_inverse=True)
+    return cell, h[first]
+
+
 def validate_design(design: SurveyDesign) -> DesignDiagnostics:
     """Summarize a design: strata/PSU counts and the weight-sum vs N gap."""
     n_strata = len(np.unique(design.strata)) if design.strata is not None else 1
-    n_psu = len(np.unique(design.psu)) if design.psu is not None else design.n
+    n_psu = len(psu_cells(design)[1]) if design.psu is not None else design.n
     wsum = float(design.weights.sum())
     return DesignDiagnostics(
         n=design.n,
@@ -151,7 +155,7 @@ def validate_design(design: SurveyDesign) -> DesignDiagnostics:
     )
 
 
-def meat_independent(X, residuals, design: SurveyDesign) -> MeatMatrix:
+def meat_independent(X, residuals, design: SurveyDesign) -> np.ndarray:
     """Score covariance for an independently drawn unstratified sample.
 
     Returns (1/N^2) sum_i w_i^2 r_i^2 x_i x_i^T.
@@ -162,7 +166,7 @@ def meat_independent(X, residuals, design: SurveyDesign) -> MeatMatrix:
         raise DesignError("X, residuals, and design must align")
     A = X * (design.weights * r)[:, None]
     V = A.T @ A / design.pop_size**2
-    return MeatMatrix(matrix=(V + V.T) / 2.0, structure=MeatStructure.INDEPENDENT)
+    return (V + V.T) / 2.0
 
 
 def _segment_sums(group, X, n_groups: int) -> np.ndarray:
@@ -176,7 +180,7 @@ def meat_stratified_cluster(
     design: SurveyDesign,
     center_diagonal: bool = False,
     certainty_single_psu: bool = False,
-) -> MeatMatrix:
+) -> np.ndarray:
     """Score covariance with the stratified/PSU block structure.
 
     Within each stratum, same-PSU blocks use raw residual outer products;
@@ -185,9 +189,10 @@ def meat_stratified_cluster(
     collapses to :func:`meat_independent`.  ``center_diagonal`` applies
     the same centering to the same-PSU blocks as well.
 
-    Cost O(n p) plus one sort of the labels, from segment sums: rows u_c
-    and v_c of U and C sum x_i w_i r_i over PSU c, with r_i raw and centered
-    at the PSU mean; row s_h of S sums the v_c of stratum h.  Then V_U =
+    PSUs are the (stratum, label) cells of :func:`psu_cells`.  Cost O(n p)
+    plus the sorts of the labels, from segment sums: rows u_c and v_c of U
+    and C sum x_i w_i r_i over PSU c, with r_i raw and centered at the PSU
+    mean; row s_h of S sums the v_c of stratum h.  Then V_U =
     (D^T D + S^T S - C^T C) / N^2 with D = C if ``center_diagonal`` else U;
     certainty PSUs add their units' independent outer products instead.
     """
@@ -197,15 +202,14 @@ def meat_stratified_cluster(
         raise DesignError("stratified meat requires stratum and PSU labels")
     if X.shape[0] != r.shape[0] or r.shape != design.pi.shape:
         raise DesignError("X, residuals, and design must align")
-    # PSUs nest in strata (SurveyDesign checks it), so the PSU label alone
-    # identifies a cell and maps it to one stratum
-    strata, h = np.unique(design.strata, return_inverse=True)
-    psus, first, cell = np.unique(design.psu, return_index=True, return_inverse=True)
-    n_cells, stratum_of_cell = len(psus), h[first]
-    lonely = np.bincount(stratum_of_cell, minlength=len(strata)) < 2
+    cell, stratum_of_cell = psu_cells(design)
+    n_cells, n_strata = len(stratum_of_cell), int(stratum_of_cell.max()) + 1
+    h = stratum_of_cell[cell]
+    lonely = np.bincount(stratum_of_cell, minlength=n_strata) < 2
     if lonely.any() and not certainty_single_psu:
+        label = design.strata.item(int(np.argmax(h == np.argmax(lonely))))
         raise DesignError(
-            f"stratum {strata[np.argmax(lonely)]!r} has a single PSU; variance within "
+            f"stratum {label!r} has a single PSU; variance within "
             "one cluster is unidentifiable (pass certainty_single_psu=True to treat "
             "its units as independently sampled)"
         )
@@ -218,8 +222,8 @@ def meat_stratified_cluster(
     A = X[unit] * (w[unit] * r[unit])[:, None]
     cluster = ~lonely[stratum_of_cell]
     U, C, stratum_of_cell = U[cluster], C[cluster], stratum_of_cell[cluster]
-    S = _segment_sums(stratum_of_cell, C, len(strata))
+    S = _segment_sums(stratum_of_cell, C, n_strata)
     D = C if center_diagonal else U
     # same-PSU blocks plus all cross-PSU centered blocks
     V = (A.T @ A + D.T @ D + S.T @ S - C.T @ C) / design.pop_size**2
-    return MeatMatrix(matrix=(V + V.T) / 2.0, structure=MeatStructure.STRATIFIED_CLUSTER)
+    return (V + V.T) / 2.0

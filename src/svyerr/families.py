@@ -8,7 +8,6 @@ as (y - mu)^2 / sigma^2.  Bernoulli and poisson carry dispersion 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,7 +23,6 @@ __all__ = [
     "mean_to_natural",
     "variance",
     "unit_variance",
-    "psi",
     "loss_q",
     "lambda_hat",
     "DomainError",
@@ -102,18 +100,6 @@ def poisson() -> Family:
 
 def _clamp(lam):
     return np.clip(lam, -NATURAL_CLAMP, NATURAL_CLAMP)
-
-
-def psi(family: Family, lam):
-    """Cumulant function of the unit-dispersion natural parameterization."""
-    lam = np.asarray(lam, dtype=float)
-    if family.kind is FamilyKind.GAUSSIAN:
-        out = 0.5 * lam**2
-    elif family.kind is FamilyKind.BERNOULLI:
-        out = np.logaddexp(0.0, _clamp(lam))
-    else:
-        out = np.exp(_clamp(lam))
-    return out if out.ndim else float(out)
 
 
 def natural_to_mean(family: Family, lam):
@@ -227,39 +213,6 @@ def loss_q(loss: Loss, y, mu_hat):
     return out if out.ndim else float(out)
 
 
-def loss_q_from_concave(loss: Loss, y, mu_hat):
-    """Q(y, mu_hat) assembled from the concave generator q and its derivative.
-
-    Independent of :func:`loss_q`; used to check the two constructions agree.
-    """
-    y = np.asarray(y, dtype=float)
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    if loss.kind is LossKind.SQUARED_ERROR:
-        # q(m) = -m^2, qdot(m) = -2m
-        return (-(mu_hat**2)) + (-2.0 * mu_hat) * (y - mu_hat) - (-(y**2))
-    if loss.kind is not LossKind.DEVIANCE:
-        raise ValueError("q-class construction applies to deviance and squared error")
-    fam = loss.family
-    assert fam is not None
-
-    def q_of(m):
-        lam = mean_to_natural(fam, m)
-        return 2.0 * (psi(fam, lam) - m * lam) / fam.dispersion
-
-    def qdot_of(m):
-        return -2.0 * mean_to_natural(fam, m) / fam.dispersion
-
-    # q(y) needs the closed-form saturated value when y sits on the
-    # boundary of the mean domain (bernoulli y in {0,1}, poisson y=0).
-    if fam.kind is FamilyKind.GAUSSIAN:
-        q_y = q_of(y)
-    elif fam.kind is FamilyKind.BERNOULLI:
-        q_y = -2.0 * (_xlogy(y, y) + _xlogy(1.0 - y, 1.0 - y))
-    else:
-        q_y = 2.0 * (y - _xlogy(y, y))
-    return q_of(mu_hat) + qdot_of(mu_hat) * (y - mu_hat) - q_y
-
-
 def lambda_hat(loss: Loss, mu_hat):
     """The penalty-side parameter -qdot(mu_hat)/2 for the given loss.
 
@@ -277,16 +230,3 @@ def lambda_hat(loss: Loss, mu_hat):
         out = np.asarray(mean_to_natural(fam, mu_hat)) / fam.dispersion
     return out if out.ndim else float(out)
 
-
-def log_likelihood(family: Family, y, mu):
-    """Pointwise log density at mean mu (constants included)."""
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if family.kind is FamilyKind.GAUSSIAN:
-        s2 = family.dispersion
-        out = -0.5 * ((y - mu) ** 2 / s2 + math.log(2.0 * math.pi * s2))
-    elif family.kind is FamilyKind.BERNOULLI:
-        out = _xlogy(y, mu) + _xlogy(1.0 - y, 1.0 - mu)
-    else:
-        out = _xlogy(y, mu) - mu - special.gammaln(y + 1.0)
-    return out if out.ndim else float(out)

@@ -18,17 +18,23 @@ from scipy import linalg as sla
 from . import families as fam
 from . import design as dsn
 from .families import Family, FamilyKind
-from .design import MeatMatrix, MeatStructure, SurveyDesign
+from .design import MeatStructure, SurveyDesign
 
 __all__ = [
     "GlmFit",
     "SandwichVariance",
     "FitError",
     "fit_weighted_glm",
-    "working_residual",
     "information_J",
     "sandwich_variance",
 ]
+
+
+# IRLS stops when max |score| <= TOL_SCORE * score scale, or fails after
+# MAX_ITER iterations; sandwich_variance warns when cond(J) > COND_LIMIT
+TOL_SCORE = 1e-8
+MAX_ITER = 100
+COND_LIMIT = 1e12
 
 
 class FitError(RuntimeError):
@@ -42,7 +48,7 @@ class GlmFit:
     theta: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
-    z: np.ndarray
+    z: np.ndarray  # working response lam + (y - mu) dlam/dmu at mu-hat
     sigma_m: np.ndarray
     design: SurveyDesign
     family: Family
@@ -50,7 +56,6 @@ class GlmFit:
     y: np.ndarray
     converged: bool
     iterations: int
-    loglik_weighted: float
     deviance_weighted: float
     separation: bool = False
 
@@ -70,7 +75,7 @@ class GlmFit:
 @dataclass(frozen=True)
 class SandwichVariance:
     J: np.ndarray
-    VU: MeatMatrix
+    VU: np.ndarray
     V: np.ndarray
 
     @property
@@ -107,8 +112,6 @@ def fit_weighted_glm(
     y,
     family: Family,
     design: SurveyDesign,
-    tol_score: float = 1e-8,
-    max_iter: int = 100,
     estimate_dispersion: bool = True,
 ) -> GlmFit:
     """Fit a canonical-link GLM by HT-weighted IRLS.
@@ -139,7 +142,7 @@ def fit_weighted_glm(
     theta = None
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         v = np.asarray(fam.unit_variance(family, mu))
         if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
             raise FitError("degenerate fit: zero model variance at a fitted point")
@@ -168,11 +171,11 @@ def fit_weighted_glm(
             raise FitError("step-halving failed to decrease the weighted deviance")
         theta, lam, mu, dev = cand, lam_c, mu_c, dev_c
         score = X.T @ (w * (y - mu))
-        if np.max(np.abs(score)) <= tol_score * score_scale:
+        if np.max(np.abs(score)) <= TOL_SCORE * score_scale:
             converged = True
             break
     if not converged:
-        raise FitError(f"IRLS did not converge in {max_iter} iterations")
+        raise FitError(f"IRLS did not converge in {MAX_ITER} iterations")
 
     separation = bool(
         family.kind is not FamilyKind.GAUSSIAN
@@ -190,7 +193,6 @@ def fit_weighted_glm(
 
     loss = fam.Loss(fam.LossKind.DEVIANCE, fitted_family)
     dev_w = float(w @ fam.loss_q(loss, y, mu)) / N
-    ll_w = float(w @ fam.log_likelihood(fitted_family, y, mu)) / N
     v = np.asarray(fam.unit_variance(fitted_family, mu))
     return GlmFit(
         theta=np.asarray(theta),
@@ -204,18 +206,9 @@ def fit_weighted_glm(
         y=y,
         converged=converged,
         iterations=it,
-        loglik_weighted=ll_w,
         deviance_weighted=dev_w,
         separation=separation,
     )
-
-
-def working_residual(fit: GlmFit) -> np.ndarray:
-    """Adjusted dependent variable z = lam + (y - mu) dlam/dmu at mu-hat."""
-    v = np.asarray(fam.unit_variance(fit.family, fit.mu))
-    if np.any(v <= 0.0):
-        raise FitError("degenerate fit: zero variance at a fitted point")
-    return fit.lam + (fit.y - fit.mu) / v
 
 
 def information_J(fit: GlmFit) -> np.ndarray:
@@ -231,7 +224,6 @@ def information_J(fit: GlmFit) -> np.ndarray:
 def sandwich_variance(
     fit: GlmFit,
     structure: MeatStructure = MeatStructure.INDEPENDENT,
-    condition_limit: float = 1e12,
     **meat_kwargs,
 ) -> SandwichVariance:
     """Sandwich V = J^{-1} V_U J^{-1} with the requested meat structure.
@@ -249,8 +241,8 @@ def sandwich_variance(
     cond = np.linalg.cond(J)
     if not np.isfinite(cond):
         raise FitError("information matrix is singular")
-    if cond > condition_limit:
+    if cond > COND_LIMIT:
         warnings.warn(f"information matrix badly conditioned (cond={cond:.2e})")
     Jinv = np.linalg.inv(J)
-    V = Jinv @ VU.matrix @ Jinv
+    V = Jinv @ VU @ Jinv
     return SandwichVariance(J=J, VU=VU, V=(V + V.T) / 2.0)

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import design as dsn
 from . import families as fam
 from .design import MeatStructure, SurveyDesign
 from .families import Family, FamilyKind, Loss, LossKind
@@ -27,7 +28,6 @@ __all__ = [
     "in_sample_error",
     "cov_lambda_y_elementwise",
     "hte_analytic",
-    "daic",
     "aic_naive",
     "estimate_dispersion",
     "hte_bootstrap",
@@ -43,7 +43,6 @@ class PenaltyReport:
     omega_hat: float
     err_hat: float
     daic: float | None
-    aic_naive: float | None
     p_hat: float | None
     method: str
     B: int | None = None
@@ -57,7 +56,6 @@ class PenaltyReport:
             "omega_hat": self.omega_hat,
             "err_hat": self.err_hat,
             "daic": self.daic,
-            "aic_naive": self.aic_naive,
             "p_hat": self.p_hat,
             "method": self.method,
             "B": self.B,
@@ -125,7 +123,9 @@ def hte_analytic(
     Deviance loss uses the trace penalty 2 tr(J V) directly; squared
     error rescales the per-unit natural-parameter covariances by the
     model variance (for gaussian this is the multiplication by
-    sigma-hat^2).
+    sigma-hat^2).  ``daic`` is the design-based AIC on the deviance
+    scale, HT-weighted deviance + 2 tr(J V); the deviance differs from
+    -2 l-hat by a theta-free saturated-model constant.
     """
     if not fit.converged:
         raise FitError("penalty requires a converged fit")
@@ -155,33 +155,16 @@ def hte_analytic(
     else:
         raise ValueError("analytic penalty is available for deviance and squared error only")
 
-    dval = fit.deviance_weighted + 2.0 * tr_jv
     return PenaltyReport(
         err_weighted=err_w,
         omega_hat=omega,
         err_hat=err_w + omega,
-        daic=dval,
-        aic_naive=None,
+        daic=fit.deviance_weighted + 2.0 * tr_jv,
         # per-observation penalty tr(J V) is roughly p/n, so the
         # effective-parameter count carries the n scaling
         p_hat=fit.n * tr_jv,
         method="analytic",
     )
-
-
-def daic(
-    fit: GlmFit,
-    structure: MeatStructure = MeatStructure.INDEPENDENT,
-    **meat_kwargs,
-) -> float:
-    """Design-based AIC on the deviance scale.
-
-    The goodness-of-fit term is the HT-weighted deviance, which differs
-    from -2 l-hat by a theta-free saturated-model constant; the penalty
-    is 2 tr(J V).
-    """
-    sw = sandwich_variance(fit, structure, **meat_kwargs)
-    return fit.deviance_weighted + 2.0 * sw.trace_JV
 
 
 def aic_naive(fit_unweighted: GlmFit) -> float:
@@ -205,16 +188,14 @@ def estimate_dispersion(fit: GlmFit) -> tuple[float, float]:
     all PSUs (pair-count weighting); phi-hat = 1 + (nbar - 1) rho-hat at
     the average PSU size.  All-singleton designs return (0, 1).
 
-    Cost O(n) plus one sort of the PSU labels, from segment sums: per PSU
-    the size m, sum e and sum e^2 of the Pearson residuals e give its
-    pair-product sum ((sum e)^2 - sum e^2) / 2.
+    PSUs are the (stratum, label) cells of :func:`design.psu_cells`.  Cost
+    O(n) plus the sorts of the labels, from segment sums: per PSU the size
+    m, sum e and sum e^2 of the Pearson residuals e give its pair-product
+    sum ((sum e)^2 - sum e^2) / 2.
     """
-    design = fit.design
-    if design.psu is None:
-        raise ValueError("dispersion estimation requires PSU labels")
+    psu, _ = dsn.psu_cells(fit.design)
     v = np.asarray(fam.variance(fit.family, fit.mu))
     e = (fit.y - fit.mu) / np.sqrt(v)
-    _, psu = np.unique(design.psu, return_inverse=True)
     sizes = np.bincount(psu)
     npairs = int((sizes * (sizes - 1) // 2).sum())
     if npairs == 0:
@@ -306,7 +287,6 @@ def hte_bootstrap(
         omega_hat=omega,
         err_hat=err_w + omega,
         daic=None,
-        aic_naive=None,
         p_hat=None,
         method="bootstrap",
         B=B,

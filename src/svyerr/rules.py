@@ -30,7 +30,6 @@ class KnnModel:
     center: np.ndarray
     scale: np.ndarray
     kept_columns: np.ndarray
-    weighted_votes: bool = True
 
 
 def _standardize_params(X, weights):
@@ -44,9 +43,7 @@ def _standardize_params(X, weights):
     return center, scale, np.flatnonzero(kept)
 
 
-def knn_train(
-    X, y, design: SurveyDesign, k: int, weighted_votes: bool = True
-) -> KnnModel:
+def knn_train(X, y, design: SurveyDesign, k: int) -> KnnModel:
     """Store standardized covariates and outcomes; kNN has no fitting step."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -55,13 +52,11 @@ def knn_train(
         raise ValueError(f"k must lie in [1, n={n}], got {k}")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("kNN classification requires a binary 0/1 outcome")
-    w = design.weights if weighted_votes else np.ones(n)
-    center, scale, kept = _standardize_params(X, w)
+    center, scale, kept = _standardize_params(X, design.weights)
     Z = (X[:, kept] - center[kept]) / scale[kept]
     return KnnModel(
-        k=k, X=Z, y=y, weights=w,
+        k=k, X=Z, y=y, weights=design.weights,
         center=center, scale=scale, kept_columns=kept,
-        weighted_votes=weighted_votes,
     )
 
 
@@ -94,25 +89,16 @@ def knn_predict(model: KnnModel, X_new) -> np.ndarray:
     return votes
 
 
-def knn_rule(
-    X, design: SurveyDesign, k: int, weighted_votes: bool = True
-) -> pen.PredictionRule:
+def knn_rule(X, design: SurveyDesign, k: int) -> pen.PredictionRule:
     """In-sample kNN as a bootstrap-ready prediction rule.
 
     The neighbour structure depends only on X, so it is computed once and
     reused when the bootstrap retrains on resampled outcomes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    w = design.weights if weighted_votes else np.ones(n)
-    center, scale, kept = _standardize_params(X, w)
-    Z = (X[:, kept] - center[kept]) / scale[kept]
-    probe = KnnModel(
-        k=k, X=Z, y=np.zeros(n), weights=w,
-        center=center, scale=scale, kept_columns=kept,
-        weighted_votes=weighted_votes,
-    )
-    neigh = _neighbour_sets(probe, Z)
+    probe = knn_train(X, np.zeros(X.shape[0]), design, k)
+    w = probe.weights
+    neigh = _neighbour_sets(probe, probe.X)
     wsums = np.array([w[idx].sum() for idx in neigh])
     loss = Loss(LossKind.ZERO_ONE)
 
@@ -142,7 +128,6 @@ def knn_error_report(
     k_list,
     B: int,
     seed: int,
-    weighted_votes: bool = True,
     phi_hat: float = 1.0,
 ) -> list[tuple[int, pen.PenaltyReport]]:
     """Bootstrap HTE error table for a list of neighbour counts."""
@@ -152,7 +137,7 @@ def knn_error_report(
     X_sim = np.column_stack([np.ones(X.shape[0]), X])
     out = []
     for k in k_list:
-        rule = knn_rule(X, design, k, weighted_votes=weighted_votes)
+        rule = knn_rule(X, design, k)
         report = pen.hte_bootstrap(
             rule, X, y, design,
             family_for_sim=Family(FamilyKind.BERNOULLI),

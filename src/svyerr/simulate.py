@@ -82,7 +82,7 @@ class ExperimentSummary:
     def aggregates(self) -> dict:
         out: dict = {"scenario": self.scenario, "replicates": len(self.records)}
         for name in ("optimism", "omega_hat"):
-            col = np.sort(self.column(name))
+            col = self.column(name)
             out[name] = {
                 "mean": float(col.mean()),
                 "median": float(np.median(col)),

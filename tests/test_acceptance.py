@@ -16,7 +16,6 @@ from svyerr.families import Family, FamilyKind, Loss, LossKind
 from svyerr.fit import fit_weighted_glm, sandwich_variance
 from svyerr.penalty import (
     cov_lambda_y_elementwise,
-    daic,
     glm_rule,
     hte_analytic,
     hte_bootstrap,
@@ -102,7 +101,7 @@ def test_criterion_2_squared_error_estimate_is_scaled_deviance_criterion():
         design = SurveyDesign(pi=rng.uniform(0.1, 1.0, size=n))
         f = fit_weighted_glm(X, y, GAUSS, design)
         err_hat = hte_analytic(f, loss=SQERR).err_hat
-        scaled = daic(f) * f.family.dispersion
+        scaled = hte_analytic(f).daic * f.family.dispersion
         worst = max(worst, abs(err_hat - scaled) / max(abs(scaled), 1e-300))
     _verdict(
         2,

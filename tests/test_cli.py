@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from svyerr.cli import is_grade3_ckd, load_dataset, main, mdrd_gfr, SchemaError
+from svyerr.families import Family, FamilyKind
+from svyerr.fit import fit_weighted_glm
+from svyerr.penalty import estimate_dispersion
 
 
 def _write_csv(path, header, rows):
@@ -169,8 +172,9 @@ class TestCmdFit:
         assert pb["q025"] <= pb["median"] <= pb["q975"]
 
     @staticmethod
-    def _clustered_csv(path, psu_per_stratum=(4, 4, 4)):
-        # string labels as the CLI reads them; PSU labels unique across strata
+    def _clustered_csv(path, psu_per_stratum=(4, 4, 4), reuse_labels=False):
+        # string labels as the CLI reads them; PSU labels unique across
+        # strata, or (NHANES-style) the same labels in every stratum
         rng = np.random.default_rng(6)
         rows = []
         for h, n_psu in enumerate(psu_per_stratum):
@@ -180,7 +184,8 @@ class TestCmdFit:
                     x1 = rng.normal()
                     prob = 1.0 / (1.0 + np.exp(-(0.2 + x1 + effect)))
                     y = float(rng.random() < prob)
-                    rows.append([y, x1, rng.uniform(1.0, 3.0), f"s{h}", f"s{h}-p{j}"])
+                    psu = f"p{j}" if reuse_labels else f"s{h}-p{j}"
+                    rows.append([y, x1, rng.uniform(1.0, 3.0), f"s{h}", psu])
         _write_csv(path, ["y", "x1", "w", "stratum", "cluster"], rows)
         return str(path)
 
@@ -206,7 +211,44 @@ class TestCmdFit:
         ])
         assert code == 3
         err = capsys.readouterr().err
-        assert "'s1'" in err and "has a single PSU" in err
+        assert "stratum 's1' has a single PSU" in err
+        assert "np." not in err
+
+    @pytest.mark.parametrize("method", ["hte-analytic", "hte-bootstrap"])
+    def test_psu_labels_reused_across_strata_match_unique_labels(self, tmp_path, capsys,
+                                                                 method):
+        outs = []
+        for reuse in (False, True):
+            path = self._clustered_csv(tmp_path / f"c{reuse}.csv", reuse_labels=reuse)
+            assert main([
+                "fit", "--data", path, "--outcome", "y", "--covariates", "x1",
+                "--weights", "w", "--family", "bernoulli", "--seed", "1",
+                "--strata", "stratum", "--psu", "cluster", "--method", method,
+                "--B", "20", "--interval-runs", "3",
+            ]) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        assert outs[0] == outs[1]
+
+    def test_bootstrap_scales_penalty_by_design_effect(self, tmp_path, capsys):
+        path = self._clustered_csv(tmp_path / "clustered.csv")
+        base = ["fit", "--data", path, "--outcome", "y", "--covariates", "x1",
+                "--weights", "w", "--family", "bernoulli", "--seed", "1",
+                "--method", "hte-bootstrap", "--B", "30", "--interval-runs", "3"]
+        outs = []
+        for extra in ([], ["--strata", "stratum", "--psu", "cluster"]):
+            assert main(base + extra) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        plain, clustered = outs
+        X, y, d = load_dataset(path, "y", ["x1"], "w", None, "stratum", "cluster")
+        rho, phi = estimate_dispersion(
+            fit_weighted_glm(X, y, Family(FamilyKind.BERNOULLI), d))
+        assert phi > 1.1
+        assert (plain["rho_hat"], plain["phi_hat"]) == (None, 1.0)
+        assert (clustered["rho_hat"], clustered["phi_hat"]) == (rho, phi)
+        assert clustered["omega_hat"] == pytest.approx(phi * plain["omega_hat"], rel=1e-12)
+        for q in ("q025", "median", "q975"):
+            assert clustered["p_hat_bootstrap"][q] == pytest.approx(
+                phi * plain["p_hat_bootstrap"][q], rel=1e-12)
 
     def test_missing_weight_column_schema_exit(self, gaussian_csv):
         code = main([
@@ -306,6 +348,41 @@ class TestCmdKnn:
             )
         # k = n: essentially constant rule, near-zero optimism
         assert abs(float(rows[1]["omega_half"])) < 0.05
+
+    def test_psu_scales_penalty_by_design_effect(self, tmp_path):
+        path = TestCmdFit._clustered_csv(tmp_path / "clustered.csv")
+        X, y, d = load_dataset(path, "y", ["x1"], "w", None, None, "cluster")
+        _, phi = estimate_dispersion(fit_weighted_glm(X, y, Family(FamilyKind.BERNOULLI), d))
+        tables = []
+        for extra in ([], ["--psu", "cluster"]):
+            out_csv = tmp_path / f"knn{len(extra)}.csv"
+            assert main([
+                "knn", "--data", path, "--outcome", "y", "--covariates", "x1",
+                "--weights", "w", "--k", "5", "--B", "30", "--seed", "2",
+                "--out-csv", str(out_csv), *extra,
+            ]) == 0
+            with open(out_csv) as fh:
+                (row,) = list(csv.DictReader(fh))
+            tables.append(row)
+        plain, clustered = tables
+        assert phi > 1.1
+        assert clustered["err"] == plain["err"]
+        assert float(clustered["omega_half"]) == pytest.approx(
+            phi * float(plain["omega_half"]), rel=1e-12)
+
+    @pytest.mark.parametrize("k", ["0", "31"])
+    def test_k_outside_one_to_n_numeric_exit(self, tmp_path, capsys, k):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=30)
+        y = (rng.random(30) < 0.5).astype(float)
+        path = tmp_path / "d.csv"
+        _write_csv(path, ["y", "x", "w"], np.column_stack([y, x, np.ones(30)]).tolist())
+        code = main([
+            "knn", "--data", str(path), "--outcome", "y", "--covariates", "x",
+            "--weights", "w", "--k", k, "--B", "10", "--seed", "2",
+        ])
+        assert code == 3
+        assert f"k must lie in [1, n=30], got {k}" in capsys.readouterr().err
 
     def test_non_binary_outcome_schema_exit(self, gaussian_csv):
         code = main([

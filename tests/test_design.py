@@ -7,23 +7,12 @@ import pytest
 
 from svyerr.design import (
     DesignError,
-    MeatStructure,
     SurveyDesign,
     ht_total,
     meat_independent,
     meat_stratified_cluster,
     validate_design,
 )
-
-
-def _loop_nesting_error(strata, psu):
-    """Reference PSU-in-one-stratum check: a scan over the rows in order."""
-    seen: dict = {}
-    for h, j in zip(strata, psu):
-        if j in seen and seen[j] != h:
-            return f"PSU {j!r} spans strata {seen[j]!r} and {h!r}"
-        seen[j] = h
-    return None
 
 
 def _loop_meat_stratified_cluster(
@@ -81,30 +70,6 @@ class TestSurveyDesign:
     def test_negative_weight_rejected(self):
         with pytest.raises(DesignError):
             SurveyDesign(pi=np.array([0.5, 0.5]), weights=np.array([1.0, -1.0]))
-
-    def test_psu_spanning_strata_rejected(self):
-        with pytest.raises(DesignError, match=r"PSU .*1.* spans strata .*'a'.* and .*'b'"):
-            SurveyDesign(
-                pi=np.array([0.5, 0.5]),
-                strata=np.array(["a", "b"]),
-                psu=np.array([1, 1]),
-            )
-
-    def test_nesting_check_matches_loop_oracle(self):
-        rng = np.random.default_rng(15)
-        for _ in range(300):
-            n = int(rng.integers(1, 30))
-            psu = rng.choice([3, 8, 20, 41], size=n)
-            strata = rng.choice(["x", "y", "z"], size=n)
-            if rng.random() < 0.5:  # nested half the time
-                strata = np.array(["x", "y", "z", "x"])[np.searchsorted([3, 8, 20, 41], psu)]
-            want = _loop_nesting_error(strata, psu)
-            if want is None:
-                SurveyDesign(pi=np.full(n, 0.5), strata=strata, psu=psu)
-            else:
-                with pytest.raises(DesignError) as exc:
-                    SurveyDesign(pi=np.full(n, 0.5), strata=strata, psu=psu)
-                assert str(exc.value) == want
 
     def test_from_weights(self):
         d = SurveyDesign.from_weights([4.0, 2.0])
@@ -167,10 +132,11 @@ class TestValidateDesign:
 
     def test_strata_psu_counts(self):
         strata = np.repeat(["a", "b", "c"], 2)
-        psu = np.arange(6)
-        d = SurveyDesign(pi=np.full(6, 0.5), strata=strata, psu=psu)
-        diag = validate_design(d)
-        assert (diag.n_strata, diag.n_psu) == (3, 6)
+        # unique PSU labels, and labels 1, 2 reused in every stratum
+        for psu in (np.arange(6), np.tile([1, 2], 3)):
+            d = SurveyDesign(pi=np.full(6, 0.5), strata=strata, psu=psu)
+            diag = validate_design(d)
+            assert (diag.n_strata, diag.n_psu) == (3, 6)
 
     def test_pi_range_reported(self):
         d = SurveyDesign(pi=np.array([0.2, 0.9]))
@@ -183,13 +149,12 @@ class TestMeatIndependent:
         d = SurveyDesign.uniform(4)
         X = np.ones((4, 2))
         M = meat_independent(X, np.zeros(4), d)
-        np.testing.assert_array_equal(M.matrix, np.zeros((2, 2)))
-        assert M.structure is MeatStructure.INDEPENDENT
+        np.testing.assert_array_equal(M, np.zeros((2, 2)))
 
     def test_hand_example(self):
         d = SurveyDesign(pi=np.ones(2))
         M = meat_independent(np.ones((2, 1)), np.array([1.0, -1.0]), d)
-        assert M.matrix[0, 0] == pytest.approx(0.5)
+        assert M[0, 0] == pytest.approx(0.5)
 
     def test_uniform_pi_simplification(self):
         rng = np.random.default_rng(2)
@@ -198,7 +163,7 @@ class TestMeatIndependent:
         r = rng.normal(size=n)
         d = SurveyDesign.uniform(n, pop_size=N)
         expected = (X * r[:, None]).T @ (X * r[:, None]) / n**2
-        np.testing.assert_allclose(meat_independent(X, r, d).matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(meat_independent(X, r, d), expected, atol=1e-12)
 
     def test_symmetric_psd_random(self):
         rng = np.random.default_rng(9)
@@ -208,7 +173,7 @@ class TestMeatIndependent:
             X = rng.normal(size=(n, p))
             r = rng.normal(size=n)
             d = SurveyDesign(pi=rng.uniform(0.1, 1.0, size=n))
-            M = meat_independent(X, r, d).matrix
+            M = meat_independent(X, r, d)
             np.testing.assert_array_equal(M, M.T)
             eig = np.linalg.eigvalsh(M)
             assert eig.min() >= -1e-8 * max(np.trace(M), 1e-30)
@@ -229,15 +194,15 @@ class TestMeatStratifiedCluster:
         X = rng.normal(size=(n, 3))
         r = rng.normal(size=n)
         d = self._singleton_design(n, rng)
-        got = meat_stratified_cluster(X, r, d).matrix
-        want = meat_independent(X, r, d).matrix
+        got = meat_stratified_cluster(X, r, d)
+        want = meat_independent(X, r, d)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_zero_residuals(self):
         rng = np.random.default_rng(6)
         d = self._singleton_design(5, rng)
         M = meat_stratified_cluster(np.ones((5, 2)), np.zeros(5), d)
-        np.testing.assert_array_equal(M.matrix, np.zeros((2, 2)))
+        np.testing.assert_array_equal(M, np.zeros((2, 2)))
 
     def test_hand_example_two_singleton_psus(self):
         d = SurveyDesign(
@@ -245,7 +210,7 @@ class TestMeatStratifiedCluster:
         )
         M = meat_stratified_cluster(np.ones((2, 1)), np.array([2.0, 4.0]), d)
         # same-PSU blocks (4+16)/N^2 = 5; centered cross blocks vanish
-        assert M.matrix[0, 0] == pytest.approx(5.0)
+        assert M[0, 0] == pytest.approx(5.0)
 
     def test_single_psu_stratum_rejected(self):
         d = SurveyDesign(
@@ -259,8 +224,17 @@ class TestMeatStratifiedCluster:
         strata = np.array(["c", "a", "b", "a", "b"])
         psu = np.array([5, 1, 4, 2, 4])
         d = SurveyDesign(pi=np.full(5, 0.5), strata=strata, psu=psu)
-        with pytest.raises(DesignError, match=r"^stratum .*'b'.* has a single PSU; "):
+        with pytest.raises(DesignError, match=r"^stratum 'b' has a single PSU; "):
             meat_stratified_cluster(np.ones((5, 1)), np.ones(5), d)
+
+    @pytest.mark.parametrize("labels", [np.array([3, 1, 1]), np.array(["s3", "s1", "s1"]),
+                                        np.array([3.5, 1.0, 1.0])])
+    def test_single_psu_error_prints_plain_labels(self, labels):
+        d = SurveyDesign(pi=np.full(3, 0.5), strata=labels, psu=np.array([0, 1, 2]))
+        with pytest.raises(DesignError) as exc:
+            meat_stratified_cluster(np.ones((3, 1)), np.ones(3), d)
+        assert str(exc.value).startswith(f"stratum {labels[0].item()!r} has a single PSU")
+        assert "np." not in str(exc.value)
 
     def test_certainty_single_psu_treated_independent(self):
         rng = np.random.default_rng(8)
@@ -270,8 +244,8 @@ class TestMeatStratifiedCluster:
         d = SurveyDesign(
             pi=np.full(n, 0.5), strata=np.zeros(n, dtype=int), psu=np.zeros(n, dtype=int)
         )
-        got = meat_stratified_cluster(X, r, d, certainty_single_psu=True).matrix
-        want = meat_independent(X, r, d).matrix
+        got = meat_stratified_cluster(X, r, d, certainty_single_psu=True)
+        want = meat_independent(X, r, d)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_labels_required(self):
@@ -290,7 +264,7 @@ class TestMeatStratifiedCluster:
             )
             X = rng.normal(size=(n, 2))
             r = rng.normal(size=n)
-            M = meat_stratified_cluster(X, r, d).matrix
+            M = meat_stratified_cluster(X, r, d)
             np.testing.assert_allclose(M, M.T, atol=1e-15)
 
     def test_matches_loop_oracle_random_designs(self):
@@ -310,6 +284,8 @@ class TestMeatStratifiedCluster:
             # non-contiguous integer or string labels, rows shuffled
             psu_labels = rng.choice(1000, size=n_psu, replace=False) * 3 + 7
             stratum_labels = rng.choice(50, size=n_strata, replace=False) * 5 - 40
+            if trial % 3 == 2:  # NHANES-style: PSU labels restart in each stratum
+                psu_labels = np.concatenate([np.arange(m) for m in psus_per_stratum]) * 3 + 7
             if trial % 2:
                 psu_labels = np.array([f"psu-{v}" for v in psu_labels])
                 stratum_labels = np.array([f"s{v}" for v in stratum_labels])
@@ -321,7 +297,7 @@ class TestMeatStratifiedCluster:
             r = rng.normal(size=n)
             for center_diagonal in (False, True):
                 kw = dict(center_diagonal=center_diagonal, certainty_single_psu=certainty)
-                got = meat_stratified_cluster(X, r, d, **kw).matrix
+                got = meat_stratified_cluster(X, r, d, **kw)
                 want = _loop_meat_stratified_cluster(X, r, d, **kw)
                 np.testing.assert_allclose(
                     got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1e-300)
@@ -340,9 +316,28 @@ class TestMeatStratifiedCluster:
                          strata=strata, psu=psu)
         X = np.column_stack([np.ones(d.n), rng.normal(size=(d.n, 3))])
         r = rng.normal(size=d.n) + rng.normal(size=n_psu)[cell][order]
-        got = meat_stratified_cluster(X, r, d).matrix
+        got = meat_stratified_cluster(X, r, d)
         want = _loop_meat_stratified_cluster(X, r, d)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_psu_labels_reused_across_strata_match_unique_labels(self):
+        # strata 0..3 with PSU labels 1, 2, 3 in each, versus unique labels
+        rng = np.random.default_rng(20)
+        strata = np.repeat(np.arange(4), 3 * 5)
+        local = np.tile(np.repeat([1, 2, 3], 5), 4)
+        order = rng.permutation(strata.size)
+        strata, local = strata[order], local[order]
+        pi = rng.uniform(0.1, 0.9, size=strata.size)
+        X = rng.normal(size=(strata.size, 2))
+        r = rng.normal(size=strata.size)
+        reused = SurveyDesign(pi=pi, strata=strata, psu=local)
+        unique = SurveyDesign(pi=pi, strata=strata, psu=strata * 10 + local)
+        for kw in ({}, {"center_diagonal": True}):
+            got = meat_stratified_cluster(X, r, reused, **kw)
+            np.testing.assert_allclose(got, meat_stratified_cluster(X, r, unique, **kw),
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got, _loop_meat_stratified_cluster(X, r, reused, **kw),
+                                       rtol=1e-12, atol=0)
 
     def test_center_diagonal_toggle_changes_same_psu_blocks(self):
         rng = np.random.default_rng(12)
@@ -351,6 +346,6 @@ class TestMeatStratifiedCluster:
         d = SurveyDesign(pi=np.full(n, 0.5), strata=np.zeros(n, dtype=int), psu=psu)
         X = rng.normal(size=(n, 2))
         r = rng.normal(size=n)
-        raw = meat_stratified_cluster(X, r, d).matrix
-        cen = meat_stratified_cluster(X, r, d, center_diagonal=True).matrix
+        raw = meat_stratified_cluster(X, r, d)
+        cen = meat_stratified_cluster(X, r, d, center_diagonal=True)
         assert not np.allclose(raw, cen)

@@ -4,20 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from svyerr.families import (
+    NATURAL_CLAMP,
     DomainError,
     Family,
     FamilyKind,
     Loss,
     LossKind,
     lambda_hat,
-    log_likelihood,
     loss_q,
-    loss_q_from_concave,
     mean_to_natural,
     natural_to_mean,
-    psi,
     unit_variance,
     variance,
 )
@@ -25,6 +24,60 @@ from svyerr.families import (
 GAUSS = Family(FamilyKind.GAUSSIAN)
 BERN = Family(FamilyKind.BERNOULLI)
 POIS = Family(FamilyKind.POISSON)
+
+
+def psi(family: Family, lam):
+    """Oracle: cumulant function of the unit-dispersion natural parameterization."""
+    lam = np.asarray(lam, dtype=float)
+    if family.kind is FamilyKind.GAUSSIAN:
+        out = 0.5 * lam**2
+    elif family.kind is FamilyKind.BERNOULLI:
+        out = np.logaddexp(0.0, np.clip(lam, -NATURAL_CLAMP, NATURAL_CLAMP))
+    else:
+        out = np.exp(np.clip(lam, -NATURAL_CLAMP, NATURAL_CLAMP))
+    return out if out.ndim else float(out)
+
+
+def loss_q_from_concave(loss: Loss, y, mu_hat):
+    """Oracle: Q(y, mu_hat) assembled from the concave generator q and its derivative.
+
+    Independent of :func:`loss_q`; used to check the two constructions agree.
+    """
+    y = np.asarray(y, dtype=float)
+    mu_hat = np.asarray(mu_hat, dtype=float)
+    if loss.kind is LossKind.SQUARED_ERROR:
+        # q(m) = -m^2, qdot(m) = -2m
+        return (-(mu_hat**2)) + (-2.0 * mu_hat) * (y - mu_hat) - (-(y**2))
+    fam = loss.family
+
+    def q_of(m):
+        lam = mean_to_natural(fam, m)
+        return 2.0 * (psi(fam, lam) - m * lam) / fam.dispersion
+
+    def qdot_of(m):
+        return -2.0 * mean_to_natural(fam, m) / fam.dispersion
+
+    # q(y) needs the closed-form saturated value when y sits on the
+    # boundary of the mean domain (bernoulli y in {0,1}, poisson y=0).
+    if fam.kind is FamilyKind.GAUSSIAN:
+        q_y = q_of(y)
+    elif fam.kind is FamilyKind.BERNOULLI:
+        q_y = -2.0 * (special.xlogy(y, y) + special.xlogy(1.0 - y, 1.0 - y))
+    else:
+        q_y = 2.0 * (y - special.xlogy(y, y))
+    return q_of(mu_hat) + qdot_of(mu_hat) * (y - mu_hat) - q_y
+
+
+def log_likelihood(family: Family, y, mu):
+    """Oracle: pointwise log density at mean mu (constants included)."""
+    y = np.asarray(y, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    if family.kind is FamilyKind.GAUSSIAN:
+        s2 = family.dispersion
+        return -0.5 * ((y - mu) ** 2 / s2 + math.log(2.0 * math.pi * s2))
+    if family.kind is FamilyKind.BERNOULLI:
+        return special.xlogy(y, mu) + special.xlogy(1.0 - y, 1.0 - mu)
+    return special.xlogy(y, mu) - mu - special.gammaln(y + 1.0)
 
 
 class TestNaturalToMean:

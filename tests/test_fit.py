@@ -11,7 +11,6 @@ from svyerr.fit import (
     fit_weighted_glm,
     information_J,
     sandwich_variance,
-    working_residual,
 )
 
 GAUSS = Family(FamilyKind.GAUSSIAN)
@@ -153,16 +152,19 @@ class TestWorkingResidual:
         rng = np.random.default_rng(9)
         X, y, d = _random_instance(rng)
         f = fit_weighted_glm(X, y, GAUSS, d, estimate_dispersion=False)
-        np.testing.assert_allclose(working_residual(f), y, atol=1e-12)
+        np.testing.assert_allclose(f.z, y, atol=1e-12)
 
     def test_bernoulli_hand_value(self):
-        # y=1, mu=0.5: z = 0 + 0.5/0.25 = 2
-        f = _manual_fit(BERN, mu=np.array([0.5]), y=np.array([1.0]))
-        assert working_residual(f)[0] == pytest.approx(2.0)
+        # intercept-only fit to y = (1, 0): mu = 0.5, z = 0 +- 0.5/0.25 = +-2
+        f = fit_weighted_glm(np.ones((2, 1)), np.array([1.0, 0.0]), BERN,
+                             SurveyDesign.uniform(2))
+        np.testing.assert_allclose(f.z, [2.0, -2.0], atol=1e-9)
 
     def test_poisson_zero_residual(self):
-        f = _manual_fit(POIS, mu=np.array([3.0]), y=np.array([3.0]))
-        assert working_residual(f)[0] == pytest.approx(f.lam[0])
+        f = fit_weighted_glm(np.ones((2, 1)), np.array([3.0, 3.0]), POIS,
+                             SurveyDesign.uniform(2))
+        np.testing.assert_allclose(f.z, f.lam, atol=1e-9)
+        assert f.z[0] == pytest.approx(np.log(3.0))
 
 
 def _manual_fit(family, mu, y, X=None, design=None, sigma_m=None):
@@ -186,7 +188,6 @@ def _manual_fit(family, mu, y, X=None, design=None, sigma_m=None):
         y=np.asarray(y, dtype=float),
         converged=True,
         iterations=1,
-        loglik_weighted=0.0,
         deviance_weighted=0.0,
     )
 
@@ -254,5 +255,5 @@ class TestSandwichVariance:
         rng = np.random.default_rng(15)
         X, y, d = _random_instance(rng)
         sw = sandwich_variance(fit_weighted_glm(X, y, GAUSS, d))
-        want = np.linalg.inv(sw.J) @ sw.VU.matrix @ np.linalg.inv(sw.J)
+        want = np.linalg.inv(sw.J) @ sw.VU @ np.linalg.inv(sw.J)
         np.testing.assert_allclose(sw.V, want, rtol=1e-10, atol=1e-15)

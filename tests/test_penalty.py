@@ -11,7 +11,6 @@ from svyerr.penalty import (
     RuleFit,
     aic_naive,
     cov_lambda_y_elementwise,
-    daic,
     estimate_dispersion,
     glm_rule,
     hte_analytic,
@@ -118,7 +117,7 @@ class TestHteAnalytic:
         f = fit_weighted_glm(X, y, GAUSS, d)
         report = hte_analytic(f, loss=SQERR)
         assert report.err_hat == pytest.approx(
-            daic(f) * f.family.dispersion, rel=1e-12
+            hte_analytic(f).daic * f.family.dispersion, rel=1e-12
         )
 
     @pytest.mark.parametrize("family", [GAUSS, BERN, POIS])
@@ -155,7 +154,7 @@ class TestDaic:
         rng = np.random.default_rng(7)
         X, y, d = _gaussian_instance(rng)
         f = fit_weighted_glm(X, y, GAUSS, d)
-        assert daic(f) == pytest.approx(
+        assert hte_analytic(f).daic == pytest.approx(
             f.deviance_weighted + 2.0 * sandwich_variance(f).trace_JV, rel=1e-12
         )
 
@@ -165,7 +164,7 @@ class TestDaic:
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = X @ np.array([0.4, 1.1])
         f = fit_weighted_glm(X, y, GAUSS, SurveyDesign.uniform(n), estimate_dispersion=False)
-        assert daic(f) == pytest.approx(0.0, abs=1e-18)
+        assert hte_analytic(f).daic == pytest.approx(0.0, abs=1e-18)
 
     def test_effective_parameters_approach_p_uniform_gaussian(self):
         # correctly specified model, uniform weights: n tr(J V) -> p
@@ -246,6 +245,20 @@ class TestEstimateDispersion:
         f = fit_weighted_glm(np.ones((n, 1)), y, BERN, d)
         np.testing.assert_allclose(estimate_dispersion(f), _loop_estimate_dispersion(f),
                                    rtol=1e-12)
+
+    def test_psu_labels_reused_across_strata_match_unique_labels(self):
+        # 30 strata x PSU labels 1, 2 in each, versus unique labels
+        rng = np.random.default_rng(20)
+        cell = np.repeat(np.arange(60), 8)[rng.permutation(480)]
+        p = 1.0 / (1.0 + np.exp(-rng.normal(scale=0.8, size=60)))[cell]
+        y = (rng.random(480) < p).astype(float)
+        pi = rng.uniform(0.2, 1.0, size=480)
+        got = []
+        for psu in (cell % 2 + 1, cell):
+            d = SurveyDesign(pi=pi, strata=cell // 2, psu=psu)
+            got.append(estimate_dispersion(fit_weighted_glm(np.ones((480, 1)), y, BERN, d)))
+        np.testing.assert_allclose(got[0], got[1], rtol=1e-12)
+        assert got[0][0] > 0.05
 
     def test_requires_psu_labels(self):
         rng = np.random.default_rng(3)
@@ -360,5 +373,5 @@ class TestAicNaive:
             X = np.column_stack([np.ones(n), rng.normal(size=n)])
             y = X @ np.array([0.3, -0.7]) + rng.normal(size=n)
             f = fit_weighted_glm(X, y, GAUSS, SurveyDesign.uniform(n))
-            gaps.append(daic(f) - aic_naive(f))
+            gaps.append(hte_analytic(f).daic - aic_naive(f))
         assert np.mean(gaps) == pytest.approx(0.0, abs=5e-3)
