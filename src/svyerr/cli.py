@@ -166,6 +166,8 @@ def _family_from_name(name: str) -> Family:
 
 
 def cmd_fit(args) -> int:
+    if args.method == "hte-bootstrap" and args.interval_runs < 1:
+        raise ValueError(f"--interval-runs must be at least 1, got {args.interval_runs}")
     X, y, design = load_dataset(
         args.data, args.outcome, args.covariates,
         args.weights, args.pi, args.strata, args.psu, args.hajek,
@@ -179,16 +181,11 @@ def cmd_fit(args) -> int:
     structure = MeatStructure.STRATIFIED_CLUSTER if clustered else MeatStructure.INDEPENDENT
     interval = {}
     if args.method == "hte-bootstrap":
-        # quasi-binomial correction: scale the penalty by the design effect
-        rho, phi = pen.estimate_dispersion(f) if args.psu else (None, 1.0)
         # seed gives the reported penalty; seed + 1, ... re-run it under
         # independent seeds for an empirical interval on the estimate
         rule = pen.glm_rule(family, loss)
         report, *reruns = [
-            pen.hte_bootstrap(
-                rule, X, y, design, family_for_sim=family,
-                B=args.B, seed=args.seed + s, loss=loss, phi_hat=phi, rho_hat=rho,
-            )
+            pen.hte_bootstrap(rule, X, f, B=args.B, seed=args.seed + s, loss=loss)
             for s in range(1 + args.interval_runs)
         ]
         phats = [len(y) * r.omega_hat / 2.0 for r in reruns]
@@ -238,16 +235,8 @@ def cmd_knn(args) -> int:
     )
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise SchemaError("kNN requires a binary 0/1 outcome column")
-    phi = 1.0
-    if args.psu:
-        # design effect from the weighted logistic fit that generates the
-        # bootstrap outcomes (quasi-binomial correction)
-        bern = fit_weighted_glm(X, y, Family(FamilyKind.BERNOULLI), design)
-        _, phi = pen.estimate_dispersion(bern)
-    Xc = X[:, 1:]  # no intercept column for a distance-based rule
-    reports = rules.knn_error_report(
-        Xc, y, design, args.k, B=args.B, seed=args.seed, phi_hat=phi
-    )
+    # no intercept column for a distance-based rule
+    reports = rules.knn_error_report(X[:, 1:], y, design, args.k, B=args.B, seed=args.seed)
     rows = [
         {
             "k": k,

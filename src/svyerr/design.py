@@ -178,7 +178,6 @@ def meat_stratified_cluster(
     X,
     residuals,
     design: SurveyDesign,
-    center_diagonal: bool = False,
     certainty_single_psu: bool = False,
 ) -> np.ndarray:
     """Score covariance with the stratified/PSU block structure.
@@ -186,15 +185,14 @@ def meat_stratified_cluster(
     Within each stratum, same-PSU blocks use raw residual outer products;
     cross-PSU blocks use residuals centered at their within-PSU mean, so
     a stratum of singleton PSUs contributes no cross terms and the result
-    collapses to :func:`meat_independent`.  ``center_diagonal`` applies
-    the same centering to the same-PSU blocks as well.
+    collapses to :func:`meat_independent`.
 
     PSUs are the (stratum, label) cells of :func:`psu_cells`.  Cost O(n p)
     plus the sorts of the labels, from segment sums: rows u_c and v_c of U
     and C sum x_i w_i r_i over PSU c, with r_i raw and centered at the PSU
     mean; row s_h of S sums the v_c of stratum h.  Then V_U =
-    (D^T D + S^T S - C^T C) / N^2 with D = C if ``center_diagonal`` else U;
-    certainty PSUs add their units' independent outer products instead.
+    (U^T U + S^T S - C^T C) / N^2; certainty PSUs add their units'
+    independent outer products instead.
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(residuals, dtype=float)
@@ -223,7 +221,6 @@ def meat_stratified_cluster(
     cluster = ~lonely[stratum_of_cell]
     U, C, stratum_of_cell = U[cluster], C[cluster], stratum_of_cell[cluster]
     S = _segment_sums(stratum_of_cell, C, n_strata)
-    D = C if center_diagonal else U
     # same-PSU blocks plus all cross-PSU centered blocks
-    V = (A.T @ A + D.T @ D + S.T @ S - C.T @ C) / design.pop_size**2
+    V = (A.T @ A + U.T @ U + S.T @ S - C.T @ C) / design.pop_size**2
     return (V + V.T) / 2.0

@@ -224,7 +224,6 @@ def information_J(fit: GlmFit) -> np.ndarray:
 def sandwich_variance(
     fit: GlmFit,
     structure: MeatStructure = MeatStructure.INDEPENDENT,
-    **meat_kwargs,
 ) -> SandwichVariance:
     """Sandwich V = J^{-1} V_U J^{-1} with the requested meat structure.
 
@@ -237,7 +236,7 @@ def sandwich_variance(
     if structure is MeatStructure.INDEPENDENT:
         VU = dsn.meat_independent(fit.X, r, fit.design)
     else:
-        VU = dsn.meat_stratified_cluster(fit.X, r, fit.design, **meat_kwargs)
+        VU = dsn.meat_stratified_cluster(fit.X, r, fit.design)
     cond = np.linalg.cond(J)
     if not np.isfinite(cond):
         raise FitError("information matrix is singular")

@@ -116,7 +116,6 @@ def hte_analytic(
     loss: Loss | None = None,
     structure: MeatStructure = MeatStructure.INDEPENDENT,
     model_based: bool = False,
-    **meat_kwargs,
 ) -> PenaltyReport:
     """HTE prediction-error report for a fitted GLM.
 
@@ -131,7 +130,7 @@ def hte_analytic(
         raise FitError("penalty requires a converged fit")
     if loss is None:
         loss = Loss(LossKind.DEVIANCE, fit.family)
-    sw = sandwich_variance(fit, structure, **meat_kwargs)
+    sw = sandwich_variance(fit, structure)
     tr_jv = sw.trace_JV
     w = fit.design.weights
     N = fit.design.pop_size
@@ -227,43 +226,31 @@ def glm_rule(family: Family, loss: Loss) -> PredictionRule:
 
 
 def hte_bootstrap(
-    rule: PredictionRule,
-    X,
-    y,
-    design: SurveyDesign,
-    family_for_sim: Family,
-    B: int,
-    seed: int,
-    loss: Loss,
-    phi_hat: float = 1.0,
-    rho_hat: float | None = None,
-    X_sim=None,
+    rule: PredictionRule, X, gen: GlmFit, B: int, seed: int, loss: Loss
 ) -> PenaltyReport:
     """Parametric-bootstrap HTE estimate for an arbitrary prediction rule.
 
-    A design-weighted GLM of ``family_for_sim`` supplies the generating
-    means; replicate b redraws responses with the rng stream (seed, b),
-    retrains the rule, and the per-unit covariance of the rule's lambda
-    with the simulated outcome (times phi_hat) yields the optimism.
-    ``X_sim`` overrides the design matrix of the generating GLM (for
-    rules whose X carries no intercept column).
+    The design-weighted GLM fit ``gen`` supplies the outcomes, the design
+    and the generating means; replicate b redraws responses with the rng
+    stream (seed, b), retrains the rule on ``X``, and the per-unit
+    covariance of the rule's lambda with the simulated outcome yields the
+    optimism.  Given PSU labels, that covariance is scaled by the design
+    effect phi-hat of :func:`estimate_dispersion` on ``gen``
+    (quasi-binomial correction).
     """
     if B < 2:
         raise ValueError("bootstrap needs at least two replicates")
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-
+    y, design, n = gen.y, gen.design, gen.n
+    rho_hat, phi_hat = estimate_dispersion(gen) if design.psu is not None else (None, 1.0)
     base = rule(X, y, design)
-    gen = fit_weighted_glm(X if X_sim is None else X_sim, y, family_for_sim, design)
-    mu_gen = gen.mu
 
     lam_star = np.empty((B, n))
     y_star = np.empty((B, n))
     kept = np.zeros(B, dtype=bool)
     for b in range(B):
         rng = np.random.default_rng([seed, b])
-        yb = _draw_responses(rng, gen.family, mu_gen)
+        yb = _draw_responses(rng, gen.family, gen.mu)
         try:
             rb = rule(X, yb, design)
         except (FitError, ValueError):

@@ -12,11 +12,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import families as fam
 from . import penalty as pen
 from .design import SurveyDesign
 from .families import Family, FamilyKind, Loss, LossKind
+from .fit import fit_weighted_glm
 
 __all__ = ["KnnModel", "knn_train", "knn_predict", "knn_rule", "knn_error_report"]
 
@@ -60,33 +62,27 @@ def knn_train(X, y, design: SurveyDesign, k: int) -> KnnModel:
     )
 
 
-def _neighbour_sets(model: KnnModel, Z_query) -> list[np.ndarray]:
-    """Indices of the k nearest training points per query row.
+def _neighbour_weights(model: KnnModel, Z_query) -> sparse.csr_array:
+    """Survey weights of each query row's neighbour set, as a (query, training) matrix.
 
-    Ties at the k-th distance expand the set; remaining ordering is by
-    distance then original index, so permuting the training rows leaves
-    predictions unchanged.
+    The set holds the k nearest training points; ties at the k-th distance
+    expand it, so permuting the training rows leaves predictions unchanged
+    and every vote is (W @ y) / W.sum(axis=1).
     """
-    d2 = ((Z_query[:, None, :] - model.X[None, :, :]) ** 2).sum(axis=-1)
-    out = []
-    for row in d2:
-        order = np.lexsort((np.arange(len(row)), row))
-        kth = row[order[model.k - 1]]
-        cut = np.searchsorted(row[order], kth + 1e-12 * (1.0 + kth), side="right")
-        out.append(order[:cut])
-    return out
+    d2 = np.zeros((Z_query.shape[0], model.X.shape[0]))
+    for c in range(model.X.shape[1]):  # no (query, training, column) temporary
+        d2 += (Z_query[:, None, c] - model.X[None, :, c]) ** 2
+    kth = np.partition(d2, model.k - 1, axis=1)[:, model.k - 1]
+    rows, cols = np.nonzero(d2 <= (kth + 1e-12 * (1.0 + kth))[:, None])
+    return sparse.csr_array((model.weights[cols], (rows, cols)), shape=d2.shape)
 
 
 def knn_predict(model: KnnModel, X_new) -> np.ndarray:
     """Weight-proportional class-1 vote of the k nearest neighbours."""
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
     kc = model.kept_columns
-    Z = (X_new[:, kc] - model.center[kc]) / model.scale[kc]
-    votes = np.empty(Z.shape[0])
-    for i, idx in enumerate(_neighbour_sets(model, Z)):
-        wv = model.weights[idx]
-        votes[i] = float(wv @ model.y[idx]) / float(wv.sum())
-    return votes
+    W = _neighbour_weights(model, (X_new[:, kc] - model.center[kc]) / model.scale[kc])
+    return (W @ model.y) / W.sum(axis=1)
 
 
 def knn_rule(X, design: SurveyDesign, k: int) -> pen.PredictionRule:
@@ -95,54 +91,32 @@ def knn_rule(X, design: SurveyDesign, k: int) -> pen.PredictionRule:
     The neighbour structure depends only on X, so it is computed once and
     reused when the bootstrap retrains on resampled outcomes.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    probe = knn_train(X, np.zeros(X.shape[0]), design, k)
-    w = probe.weights
-    neigh = _neighbour_sets(probe, probe.X)
-    wsums = np.array([w[idx].sum() for idx in neigh])
+    probe = knn_train(X, np.zeros(len(X)), design, k)
+    W = _neighbour_weights(probe, probe.X)
+    wsums = W.sum(axis=1)
     loss = Loss(LossKind.ZERO_ONE)
 
-    if all(len(idx) == k for idx in neigh):
-        # no distance ties at the k-th neighbour: vectorized voting
-        idx_mat = np.vstack(neigh)
-        w_mat = w[idx_mat]
-
-        def train(X_train, y, design_train) -> pen.RuleFit:
-            y = np.asarray(y, dtype=float)
-            mu = (w_mat * y[idx_mat]).sum(axis=1) / wsums
-            return pen.RuleFit(mu=mu, lam=np.asarray(fam.lambda_hat(loss, mu)))
-    else:
-
-        def train(X_train, y, design_train) -> pen.RuleFit:
-            y = np.asarray(y, dtype=float)
-            mu = np.array([w[idx] @ y[idx] for idx in neigh]) / wsums
-            return pen.RuleFit(mu=mu, lam=np.asarray(fam.lambda_hat(loss, mu)))
+    def train(X_train, y, design_train) -> pen.RuleFit:
+        mu = (W @ np.asarray(y, dtype=float)) / wsums
+        return pen.RuleFit(mu=mu, lam=np.asarray(fam.lambda_hat(loss, mu)))
 
     return train
 
 
 def knn_error_report(
-    X,
-    y,
-    design: SurveyDesign,
-    k_list,
-    B: int,
-    seed: int,
-    phi_hat: float = 1.0,
+    X, y, design: SurveyDesign, k_list, B: int, seed: int
 ) -> list[tuple[int, pen.PenaltyReport]]:
-    """Bootstrap HTE error table for a list of neighbour counts."""
+    """Bootstrap HTE error table for a list of neighbour counts.
+
+    One weighted logistic fit generates the bootstrap outcomes for every k;
+    it needs an intercept the distance-based rule itself does not carry.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    # the generating logistic model needs an intercept the distance-based
-    # rule itself does not carry
-    X_sim = np.column_stack([np.ones(X.shape[0]), X])
-    out = []
-    for k in k_list:
-        rule = knn_rule(X, design, k)
-        report = pen.hte_bootstrap(
-            rule, X, y, design,
-            family_for_sim=Family(FamilyKind.BERNOULLI),
-            B=B, seed=seed, loss=Loss(LossKind.ZERO_ONE), phi_hat=phi_hat,
-            X_sim=X_sim,
-        )
-        out.append((int(k), report))
-    return out
+    gen = fit_weighted_glm(
+        np.column_stack([np.ones(X.shape[0]), X]), y, Family(FamilyKind.BERNOULLI), design
+    )
+    loss = Loss(LossKind.ZERO_ONE)
+    return [
+        (int(k), pen.hte_bootstrap(knn_rule(X, design, k), X, gen, B=B, seed=seed, loss=loss))
+        for k in k_list
+    ]

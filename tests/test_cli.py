@@ -171,6 +171,17 @@ class TestCmdFit:
         pb = saved["p_hat_bootstrap"]
         assert pb["q025"] <= pb["median"] <= pb["q975"]
 
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_interval_runs_below_one_numeric_exit(self, gaussian_csv, capsys, runs):
+        code = main([
+            "fit", "--data", gaussian_csv, "--outcome", "y",
+            "--covariates", "x1", "--weights", "w", "--family", "gaussian",
+            "--method", "hte-bootstrap", "--B", "10", "--interval-runs", runs,
+            "--seed", "5",
+        ])
+        assert code == 3
+        assert f"--interval-runs must be at least 1, got {runs}" in capsys.readouterr().err
+
     @staticmethod
     def _clustered_csv(path, psu_per_stratum=(4, 4, 4), reuse_labels=False):
         # string labels as the CLI reads them; PSU labels unique across

@@ -15,9 +15,7 @@ from svyerr.design import (
 )
 
 
-def _loop_meat_stratified_cluster(
-    X, r, design, center_diagonal=False, certainty_single_psu=False
-):
+def _loop_meat_stratified_cluster(X, r, design, certainty_single_psu=False):
     """Reference stratified/PSU meat: one full-sample mask per stratum and PSU."""
     w = design.weights
     V = np.zeros((X.shape[1], X.shape[1]))
@@ -39,9 +37,8 @@ def _loop_meat_stratified_cluster(
             continue
         U = np.array(raw_terms)
         C = np.array(cen_terms)
-        diag_terms = C if center_diagonal else U
         s = C.sum(axis=0)
-        V += diag_terms.T @ diag_terms + np.outer(s, s) - C.T @ C
+        V += U.T @ U + np.outer(s, s) - C.T @ C
     V /= design.pop_size**2
     return (V + V.T) / 2.0
 
@@ -295,13 +292,11 @@ class TestMeatStratifiedCluster:
             d = SurveyDesign(pi=rng.uniform(0.1, 1.0, size=n), strata=strata, psu=psu)
             X = rng.normal(size=(n, int(rng.integers(1, 4))))
             r = rng.normal(size=n)
-            for center_diagonal in (False, True):
-                kw = dict(center_diagonal=center_diagonal, certainty_single_psu=certainty)
-                got = meat_stratified_cluster(X, r, d, **kw)
-                want = _loop_meat_stratified_cluster(X, r, d, **kw)
-                np.testing.assert_allclose(
-                    got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1e-300)
-                )
+            got = meat_stratified_cluster(X, r, d, certainty_single_psu=certainty)
+            want = _loop_meat_stratified_cluster(X, r, d, certainty_single_psu=certainty)
+            np.testing.assert_allclose(
+                got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1e-300)
+            )
 
     def test_matches_loop_oracle_large_design(self):
         # n = 100,000 units in 50 strata x 100 PSUs, rows shuffled
@@ -332,20 +327,7 @@ class TestMeatStratifiedCluster:
         r = rng.normal(size=strata.size)
         reused = SurveyDesign(pi=pi, strata=strata, psu=local)
         unique = SurveyDesign(pi=pi, strata=strata, psu=strata * 10 + local)
-        for kw in ({}, {"center_diagonal": True}):
-            got = meat_stratified_cluster(X, r, reused, **kw)
-            np.testing.assert_allclose(got, meat_stratified_cluster(X, r, unique, **kw),
-                                       rtol=1e-12, atol=0)
-            np.testing.assert_allclose(got, _loop_meat_stratified_cluster(X, r, reused, **kw),
-                                       rtol=1e-12, atol=0)
-
-    def test_center_diagonal_toggle_changes_same_psu_blocks(self):
-        rng = np.random.default_rng(12)
-        n = 8
-        psu = np.repeat([0, 1], 4)
-        d = SurveyDesign(pi=np.full(n, 0.5), strata=np.zeros(n, dtype=int), psu=psu)
-        X = rng.normal(size=(n, 2))
-        r = rng.normal(size=n)
-        raw = meat_stratified_cluster(X, r, d)
-        cen = meat_stratified_cluster(X, r, d, center_diagonal=True)
-        assert not np.allclose(raw, cen)
+        got = meat_stratified_cluster(X, r, reused)
+        np.testing.assert_allclose(got, meat_stratified_cluster(X, r, unique), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, _loop_meat_stratified_cluster(X, r, reused),
+                                   rtol=1e-12, atol=0)

@@ -275,18 +275,22 @@ class TestHteBootstrap:
         f = fit_weighted_glm(X, y, GAUSS, d)
         analytic = hte_analytic(f, loss=SQERR)
         rule = glm_rule(GAUSS, SQERR)
-        boot = hte_bootstrap(rule, X, y, d, family_for_sim=GAUSS, B=2000, seed=1, loss=SQERR)
+        boot = hte_bootstrap(rule, X, f, B=2000, seed=1, loss=SQERR)
         assert boot.omega_hat == pytest.approx(analytic.omega_hat, rel=0.10)
 
-    def test_phi_scales_omega_linearly(self):
+    def test_psu_labels_scale_omega_by_design_effect(self):
         rng = np.random.default_rng(11)
         X, y, d = _gaussian_instance(rng, n=40)
+        clustered = SurveyDesign(pi=d.pi, psu=np.repeat(np.arange(10), 4))
         rule = glm_rule(GAUSS, SQERR)
-        base = hte_bootstrap(rule, X, y, d, family_for_sim=GAUSS, B=50, seed=2,
-                             loss=SQERR, phi_hat=1.0)
-        scaled = hte_bootstrap(rule, X, y, d, family_for_sim=GAUSS, B=50, seed=2,
-                               loss=SQERR, phi_hat=1.5)
-        assert scaled.omega_hat == pytest.approx(1.5 * base.omega_hat, rel=1e-12)
+        plain = hte_bootstrap(rule, X, fit_weighted_glm(X, y, GAUSS, d), B=50, seed=2, loss=SQERR)
+        gen = fit_weighted_glm(X, y, GAUSS, clustered)
+        scaled = hte_bootstrap(rule, X, gen, B=50, seed=2, loss=SQERR)
+        rho, phi = estimate_dispersion(gen)
+        assert (plain.rho_hat, plain.phi_hat) == (None, 1.0)
+        assert (scaled.rho_hat, scaled.phi_hat) == (rho, phi)
+        assert abs(phi - 1.0) > 0.1
+        assert scaled.omega_hat == pytest.approx(phi * plain.omega_hat, rel=1e-12)
 
     def test_constant_rule_zero_omega(self):
         rng = np.random.default_rng(12)
@@ -296,7 +300,7 @@ class TestHteBootstrap:
             n = len(y_)
             return RuleFit(mu=np.full(n, 0.3), lam=np.full(n, 0.3))
 
-        boot = hte_bootstrap(constant_rule, X, y, d, family_for_sim=GAUSS,
+        boot = hte_bootstrap(constant_rule, X, fit_weighted_glm(X, y, GAUSS, d),
                              B=2000, seed=3, loss=SQERR)
         assert boot.omega_hat == pytest.approx(0.0, abs=1e-12)
 
@@ -304,9 +308,9 @@ class TestHteBootstrap:
         rng = np.random.default_rng(13)
         X, y, d = _gaussian_instance(rng, n=30)
         rule = glm_rule(GAUSS, SQERR)
-        kw = dict(family_for_sim=GAUSS, B=40, seed=9, loss=SQERR)
-        r1 = hte_bootstrap(rule, X, y, d, **kw)
-        r2 = hte_bootstrap(rule, X, y, d, **kw)
+        gen = fit_weighted_glm(X, y, GAUSS, d)
+        r1 = hte_bootstrap(rule, X, gen, B=40, seed=9, loss=SQERR)
+        r2 = hte_bootstrap(rule, X, gen, B=40, seed=9, loss=SQERR)
         assert r1.omega_hat == r2.omega_hat
 
     def test_failing_replicates_dropped_then_error(self):
@@ -323,7 +327,8 @@ class TestHteBootstrap:
         from svyerr.fit import FitError
 
         with pytest.raises(FitError, match="replicates"):
-            hte_bootstrap(flaky_rule, X, y, d, family_for_sim=GAUSS, B=20, seed=4, loss=SQERR)
+            hte_bootstrap(flaky_rule, X, fit_weighted_glm(X, y, GAUSS, d), B=20, seed=4,
+                          loss=SQERR)
 
     def test_report_dict_carries_dropped_replicates(self):
         rng = np.random.default_rng(15)
@@ -336,7 +341,7 @@ class TestHteBootstrap:
                 raise ValueError("cannot train")
             return RuleFit(mu=y_, lam=y_)
 
-        report = hte_bootstrap(flaky_rule, X, y, d, family_for_sim=GAUSS, B=20, seed=4,
+        report = hte_bootstrap(flaky_rule, X, fit_weighted_glm(X, y, GAUSS, d), B=20, seed=4,
                                loss=SQERR)
         assert report.dropped_replicates == 2
         assert report.to_dict()["dropped_replicates"] == 2
@@ -345,8 +350,8 @@ class TestHteBootstrap:
         rng = np.random.default_rng(15)
         X, y, d = _gaussian_instance(rng, n=30)
         with pytest.raises(ValueError):
-            hte_bootstrap(glm_rule(GAUSS, SQERR), X, y, d,
-                          family_for_sim=GAUSS, B=1, seed=0, loss=SQERR)
+            hte_bootstrap(glm_rule(GAUSS, SQERR), X, fit_weighted_glm(X, y, GAUSS, d),
+                          B=1, seed=0, loss=SQERR)
 
 
 class TestAicNaive:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svyerr.design import SurveyDesign
-from svyerr.rules import knn_error_report, knn_predict, knn_rule, knn_train
+from svyerr.rules import _neighbour_weights, knn_error_report, knn_predict, knn_rule, knn_train
 
 
 def _binary_data(rng, n=60, p=2):
@@ -13,6 +13,58 @@ def _binary_data(rng, n=60, p=2):
     y = (rng.random(n) < prob).astype(float)
     design = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n))
     return X, y, design
+
+
+def _loop_neighbour_sets(model, Z_query):
+    """Reference neighbour sets: one sort by (distance, index) per query row.
+
+    Ties at the k-th distance expand the set, with the same relative
+    tolerance as the library.
+    """
+    d2 = ((Z_query[:, None, :] - model.X[None, :, :]) ** 2).sum(axis=-1)
+    out = []
+    for row in d2:
+        order = np.lexsort((np.arange(len(row)), row))
+        kth = row[order[model.k - 1]]
+        cut = np.searchsorted(row[order], kth + 1e-12 * (1.0 + kth), side="right")
+        out.append(order[:cut])
+    return out
+
+
+def _neighbour_case(kind, n=40):
+    """Training data and queries: tie-heavy grid, continuous, or off-sample queries."""
+    rng = np.random.default_rng(["integer_grid", "continuous", "off_training"].index(kind))
+    if kind == "integer_grid":
+        X = rng.integers(0, 4, size=(n, 2)).astype(float)
+        query = rng.integers(0, 7, size=(15, 2)) / 2.0  # on and between grid points
+    else:
+        X = rng.normal(size=(n, 3))
+        query = X[:15] if kind == "continuous" else 2.0 * rng.normal(size=(15, 3)) + 0.3
+    y = (rng.random(n) < 0.5).astype(float)
+    return X, y, SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n)), query
+
+
+@pytest.mark.parametrize("k", [1, 13, 40])
+@pytest.mark.parametrize("kind", ["integer_grid", "continuous", "off_training"])
+def test_neighbour_weights_match_loop_oracle(kind, k):
+    X, y, d, query = _neighbour_case(kind)
+    model = knn_train(X, y, d, k)
+    kc = model.kept_columns
+    paths = (
+        (model.X, knn_rule(X, d, k)(X, y, d).mu),  # in-sample rule
+        ((query[:, kc] - model.center[kc]) / model.scale[kc], knn_predict(model, query)),
+    )
+    for Z, votes in paths:
+        W = _neighbour_weights(model, Z)
+        sets = _loop_neighbour_sets(model, Z)
+        for i, idx in enumerate(sets):
+            cols = W.indices[W.indptr[i]:W.indptr[i + 1]]
+            np.testing.assert_array_equal(np.sort(cols), np.sort(idx))
+            np.testing.assert_array_equal(W.data[W.indptr[i]:W.indptr[i + 1]], d.weights[cols])
+        want = np.array([d.weights[idx] @ y[idx] / d.weights[idx].sum() for idx in sets])
+        np.testing.assert_allclose(votes, want, rtol=0, atol=1e-12)
+        if kind == "integer_grid" and k < len(y):
+            assert any(len(idx) > k for idx in sets)  # ties expanded some sets
 
 
 class TestKnnTrain:
@@ -58,6 +110,22 @@ class TestKnnTrain:
             model = knn_train(X_aug, y, d, k=3)
         base = knn_train(X, y, d, k=3)
         np.testing.assert_allclose(knn_predict(model, X_aug), knn_predict(base, X))
+
+    def test_all_columns_dropped_every_point_is_a_neighbour(self):
+        # with no column left every distance is zero, so all n points tie
+        # at the k-th distance and each vote is the weighted mean outcome
+        rng = np.random.default_rng(11)
+        _, y, d = _binary_data(rng, n=20)
+        X = np.zeros((20, 2))  # weighted mean exactly 0, so variance exactly 0
+        majority = float(d.weights @ y) / d.weights.sum()
+        with pytest.warns(UserWarning, match="dropping 2 zero-variance"):
+            model = knn_train(X, y, d, k=3)
+        assert model.kept_columns.size == 0
+        np.testing.assert_allclose(knn_predict(model, [[0.0, 1.0], [0.0, 0.0]]), majority,
+                                   rtol=0, atol=1e-12)
+        with pytest.warns(UserWarning, match="zero-variance"):
+            rule = knn_rule(X, d, k=3)
+        np.testing.assert_allclose(rule(X, y, d).mu, majority, rtol=0, atol=1e-12)
 
 
 class TestKnnPredict:
