@@ -125,17 +125,22 @@ def psu_cells(design: SurveyDesign) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(cell, stratum_of_cell)``: the PSU cell of each unit, and the
     stratum of each cell as its index in sorted stratum-label order.
     Without stratum labels the whole sample is one stratum.  Cells are
-    ordered by PSU label, then stratum: with PSU labels unique across
-    strata, cell c is the c-th PSU label in sorted order.
+    stratum-major, and within a stratum ordered by their first row, so
+    the numbering (and every sum over cells) does not depend on how PSUs
+    are labelled: unique and reused labels give the same cells.
     """
     if design.psu is None:
         raise DesignError("PSU labels are required")
     _, j = np.unique(design.psu, return_inverse=True)
     if design.strata is None:
-        return j, np.zeros(j.max() + 1, dtype=j.dtype)
-    strata, h = np.unique(design.strata, return_inverse=True)
-    _, first, cell = np.unique(j * len(strata) + h, return_index=True, return_inverse=True)
-    return cell, h[first]
+        h = np.zeros_like(j)
+    else:
+        h = np.unique(design.strata, return_inverse=True)[1]
+    _, first, cell = np.unique(h * (j.max() + 1) + j, return_index=True, return_inverse=True)
+    order = np.lexsort((first, h[first]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[cell], h[first[order]]
 
 
 def validate_design(design: SurveyDesign) -> DesignDiagnostics:

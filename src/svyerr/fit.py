@@ -2,9 +2,11 @@
 
 The fit maximizes the Horvitz-Thompson weighted log-likelihood
 l-hat(theta) = (1/N) sum_i w_i l_i(theta) for a canonical-link GLM, via
-iteratively reweighted least squares with a step-halving safeguard.  The
-bread J-hat, meat V-hat_U, and sandwich V-hat are exposed so the trace
-penalty tr(J V) is available downstream.
+iteratively reweighted least squares with a step-halving safeguard.  One
+IRLS loop fits a block of outcome rows at once, so the parametric
+bootstrap retrains on many simulated outcome vectors per call.  The bread
+J-hat, meat V-hat_U, and sandwich V-hat are exposed so the trace penalty
+tr(J V) is available downstream.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = [
     "GlmFit",
     "SandwichVariance",
     "FitError",
+    "IrlsBlock",
+    "irls",
     "fit_weighted_glm",
     "information_J",
     "sandwich_variance",
@@ -84,19 +88,33 @@ class SandwichVariance:
         return float(np.trace(self.J @ self.V))
 
 
-def _wls_qr(X, z, wts):
-    """Solve the weighted least squares problem via QR of sqrt(W) X."""
-    sw = np.sqrt(wts)
-    A = X * sw[:, None]
-    q, r, piv = sla.qr(A, mode="economic", pivoting=True)
+def _check_rank(X, w) -> None:
+    """Raise FitError when sqrt(W) X is numerically rank deficient.
+
+    One pivoted QR before the iterations: the IRLS weights w * v only
+    rescale rows by positive factors, so the rank is decided by X and w.
+    """
+    A = X * np.sqrt(w)[:, None]
+    _, r, piv = sla.qr(A, mode="raw", pivoting=True)  # no Q, and R only (p, p)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(A.shape) * np.finfo(float).eps if diag.size else 0.0
     if np.any(diag <= tol):
         bad = int(piv[int(np.argmax(diag <= tol))])
         raise FitError(f"design matrix is rank deficient (column {bad})")
-    theta = np.empty(X.shape[1])
-    theta[piv] = sla.solve_triangular(r, q.T @ (z * sw))
-    return theta
+
+
+def _solve_rows(A, b):
+    """Solve the stacked systems A[i] x = b[i]; a singular system gives a NaN row."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
+        out = np.full_like(b, np.nan)
+        for i in range(len(b)):
+            try:
+                out[i] = np.linalg.solve(A[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def _initial_mu(family: Family, y):
@@ -107,6 +125,111 @@ def _initial_mu(family: Family, y):
     return y + 0.1
 
 
+@dataclass
+class IrlsBlock:
+    """Per-row IRLS results for a block of m outcome rows.
+
+    A row that failed to fit has NaN ``theta``, ``mu`` and ``lam`` and its
+    FitError message in ``errors``; a converged row has ``errors`` None.
+    """
+
+    theta: np.ndarray  # (m, p)
+    mu: np.ndarray  # (m, n)
+    lam: np.ndarray  # (m, n)
+    iterations: np.ndarray  # (m,)
+    errors: list
+
+
+def irls(X, Y, family: Family, design: SurveyDesign) -> IrlsBlock:
+    """HT-weighted IRLS on each row of the (m, n) outcome block ``Y``.
+
+    Every row follows its own path, the path a one-row fit would take: a
+    cold start from the outcomes, an unconditional first step, then up to
+    30 step halvings that keep its weighted deviance non-increasing, and
+    a stop once max |score| <= TOL_SCORE times its score scale.  Active
+    rows are solved together by batched normal equations; converged rows
+    leave the active set.  A row whose model variance degenerates, whose
+    normal equations are singular, whose halving fails or that does not
+    converge in MAX_ITER iterations is a failed row, not a failed block.
+    Only a rank-deficient design raises.
+    """
+    X = np.asarray(X, dtype=float)
+    Xt = np.ascontiguousarray(X.T)  # contiguous rows make the stacked products fast
+    Y = np.asarray(Y, dtype=float)
+    (m, n), p = Y.shape, X.shape[1]
+    w = design.weights
+    _check_rank(X, w)
+    deviance = fam.Loss(fam.LossKind.DEVIANCE, family)
+    out = IrlsBlock(
+        theta=np.full((m, p), np.nan), mu=np.full((m, n), np.nan), lam=np.full((m, n), np.nan),
+        iterations=np.zeros(m, dtype=int), errors=[None] * m,
+    )  # filled in as rows leave the iteration
+
+    # state of the rows still iterating; rows[i] is the block row of row i
+    rows, y = np.arange(m), Y
+    scale = np.maximum(1.0, np.max(np.abs((w * np.abs(Y) + w) @ X), axis=1))
+    theta = np.zeros((m, p))
+    mu = _initial_mu(family, Y)
+    lam = np.asarray(fam.mean_to_natural(family, mu))
+    dev = fam.loss_q(deviance, Y, mu) @ w
+
+    def leave(keep, message):
+        """Drop the rows outside ``keep`` from the iteration, failed with ``message``."""
+        for i in rows[~keep]:
+            out.errors[i] = message
+        return [a[keep] for a in (rows, y, scale, theta, mu, lam, dev)]
+
+    for it in range(1, MAX_ITER + 1):
+        v = np.asarray(fam.unit_variance(family, mu))
+        ok = np.all((v > 0.0) & np.isfinite(v), axis=1)
+        if not ok.all():
+            rows, y, scale, theta, mu, lam, dev = leave(
+                ok, "degenerate fit: zero model variance at a fitted point")
+            v = v[ok]
+        wv = w * v
+        theta_new = _solve_rows((Xt * wv[:, None, :]) @ Xt.T, (wv * (lam + (y - mu) / v)) @ X)
+        ok = np.all(np.isfinite(theta_new), axis=1)
+        if not ok.all():
+            rows, y, scale, theta, mu, lam, dev = leave(ok, "weighted normal equations are singular")
+            theta_new = theta_new[ok]
+        # step-halving keeps each row's weighted deviance non-increasing
+        # after the first (unconditionally accepted) update
+        k = len(rows)
+        cand, lam_c, mu_c, dev_c = np.empty((k, p)), np.empty((k, n)), np.empty((k, n)), np.empty(k)
+        step = np.ones(k)
+        todo = slice(None)  # every row tries the full step first
+        for _ in range(30):
+            s = step[todo, None]
+            cand[todo] = (1 - s) * theta[todo] + s * theta_new[todo]
+            lam_c[todo] = cand[todo] @ X.T
+            mu_c[todo] = fam.natural_to_mean(family, lam_c[todo])
+            with np.errstate(over="ignore", invalid="ignore"):
+                dev_c[todo] = fam.loss_q(deviance, y[todo], mu_c[todo]) @ w
+            d, d0 = dev_c[todo], dev[todo]
+            accept = (it == 1) | (np.isfinite(d) & (d <= d0 + 1e-12 * (1.0 + np.abs(d0))))
+            todo = np.arange(k)[todo][~accept]
+            if todo.size == 0:
+                break
+            step[todo] /= 2.0
+        theta, lam, mu, dev = cand, lam_c, mu_c, dev_c
+        if todo.size:
+            ok = np.ones(k, dtype=bool)
+            ok[todo] = False
+            rows, y, scale, theta, mu, lam, dev = leave(
+                ok, "step-halving failed to decrease the weighted deviance")
+        score = (w * (y - mu)) @ X
+        done = np.max(np.abs(score), axis=1) <= TOL_SCORE * scale
+        if done.any():
+            r = rows[done]
+            out.theta[r], out.mu[r], out.lam[r] = theta[done], mu[done], lam[done]
+            out.iterations[r] = it
+            rows, y, scale, theta, mu, lam, dev = leave(~done, None)
+            if rows.size == 0:
+                break
+    leave(np.zeros(len(rows), dtype=bool), f"IRLS did not converge in {MAX_ITER} iterations")
+    return out
+
+
 def fit_weighted_glm(
     X,
     y,
@@ -114,7 +237,7 @@ def fit_weighted_glm(
     design: SurveyDesign,
     estimate_dispersion: bool = True,
 ) -> GlmFit:
-    """Fit a canonical-link GLM by HT-weighted IRLS.
+    """Fit a canonical-link GLM by HT-weighted IRLS (:func:`irls` on one row).
 
     For gaussian outcomes the dispersion is re-estimated after the fit as
     the HT-weighted mean squared residual (divisor sum of weights) unless
@@ -132,50 +255,12 @@ def fit_weighted_glm(
     if family.kind is FamilyKind.POISSON and np.any(y < 0):
         raise ValueError("poisson outcomes must be non-negative")
 
+    block = irls(X, y[None], family, design)
+    if block.errors[0] is not None:
+        raise FitError(block.errors[0])
+    theta, mu, lam = block.theta[0], block.mu[0], block.lam[0]
     w = design.weights
     N = design.pop_size
-    score_scale = max(1.0, float(np.max(np.abs(X.T @ (w * np.abs(y) + w)))))
-
-    mu = _initial_mu(family, y)
-    lam = np.asarray(fam.mean_to_natural(family, mu))
-    dev = float(w @ fam.loss_q(fam.Loss(fam.LossKind.DEVIANCE, family), y, mu))
-    theta = None
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        v = np.asarray(fam.unit_variance(family, mu))
-        if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-            raise FitError("degenerate fit: zero model variance at a fitted point")
-        z = lam + (y - mu) / v
-        theta_new = _wls_qr(X, z, w * v)
-        # step-halving keeps the weighted deviance non-increasing after
-        # the first (unconditionally accepted) update
-        step = 1.0
-        for _ in range(30):
-            if theta is None:
-                cand = theta_new
-            else:
-                cand = (1 - step) * np.asarray(theta) + step * theta_new
-            lam_c = X @ cand
-            mu_c = np.asarray(fam.natural_to_mean(family, lam_c))
-            with np.errstate(over="ignore", invalid="ignore"):
-                dev_c = float(
-                    w @ fam.loss_q(fam.Loss(fam.LossKind.DEVIANCE, family), y, mu_c)
-                )
-            if theta is None or (
-                np.isfinite(dev_c) and dev_c <= dev + 1e-12 * (1.0 + abs(dev))
-            ):
-                break
-            step /= 2.0
-        else:
-            raise FitError("step-halving failed to decrease the weighted deviance")
-        theta, lam, mu, dev = cand, lam_c, mu_c, dev_c
-        score = X.T @ (w * (y - mu))
-        if np.max(np.abs(score)) <= TOL_SCORE * score_scale:
-            converged = True
-            break
-    if not converged:
-        raise FitError(f"IRLS did not converge in {MAX_ITER} iterations")
 
     separation = bool(
         family.kind is not FamilyKind.GAUSSIAN
@@ -195,7 +280,7 @@ def fit_weighted_glm(
     dev_w = float(w @ fam.loss_q(loss, y, mu)) / N
     v = np.asarray(fam.unit_variance(fitted_family, mu))
     return GlmFit(
-        theta=np.asarray(theta),
+        theta=theta,
         mu=mu,
         lam=lam,
         z=lam + (y - mu) / v,
@@ -204,8 +289,8 @@ def fit_weighted_glm(
         family=fitted_family,
         X=X,
         y=y,
-        converged=converged,
-        iterations=it,
+        converged=True,
+        iterations=int(block.iterations[0]),
         deviance_weighted=dev_w,
         separation=separation,
     )

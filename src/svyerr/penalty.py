@@ -20,7 +20,7 @@ from . import design as dsn
 from . import families as fam
 from .design import MeatStructure, SurveyDesign
 from .families import Family, FamilyKind, Loss, LossKind
-from .fit import FitError, GlmFit, fit_weighted_glm, sandwich_variance
+from .fit import FitError, GlmFit, irls, sandwich_variance
 
 __all__ = [
     "PenaltyReport",
@@ -67,20 +67,25 @@ class PenaltyReport:
 
 @dataclass(frozen=True)
 class RuleFit:
-    """In-sample output of a trained prediction rule.
+    """In-sample output of a prediction rule trained on m outcome rows.
 
     ``mu`` holds fitted means and ``lam`` the rule's penalty-side
     parameter for its loss (natural parameter for deviance, mu for
-    squared error, +-1 for 0-1 loss).
+    squared error, +-1 for 0-1 loss), both of shape (m, n).  A row that
+    failed to train is a row of NaN in ``lam``.
     """
 
     mu: np.ndarray
     lam: np.ndarray
 
 
-# a prediction rule is anything that trains on (X, y, design) and
-# reports its in-sample (mu, lambda)
+# a prediction rule trains on (X, Y, design), Y an (m, n) block of outcome
+# rows, and reports its in-sample (mu, lambda) per row; it does not raise
+# for a row that fails to train
 PredictionRule = Callable[[np.ndarray, np.ndarray, SurveyDesign], RuleFit]
+
+# bootstrap replicates per rule call: memory is O(_BLOCK * n) for any B
+_BLOCK = 32
 
 
 def in_sample_error(loss: Loss, y, mu_hat, design: SurveyDesign | None = None) -> float:
@@ -216,11 +221,14 @@ def _draw_responses(rng: np.random.Generator, family: Family, mu: np.ndarray):
 
 
 def glm_rule(family: Family, loss: Loss) -> PredictionRule:
-    """Wrap a weighted GLM fit as a prediction rule for the bootstrap."""
+    """Wrap the weighted GLM's IRLS as a prediction rule for the bootstrap."""
 
-    def train(X, y, design):
-        f = fit_weighted_glm(X, y, family, design)
-        return RuleFit(mu=f.mu, lam=np.asarray(fam.lambda_hat(loss, f.mu)))
+    def train(X, Y, design):
+        mu = irls(X, Y, family, design).mu
+        lam = np.full_like(mu, np.nan)
+        ok = ~np.isnan(mu).any(axis=1)
+        lam[ok] = fam.lambda_hat(loss, mu[ok])
+        return RuleFit(mu=mu, lam=lam)
 
     return train
 
@@ -232,43 +240,46 @@ def hte_bootstrap(
 
     The design-weighted GLM fit ``gen`` supplies the outcomes, the design
     and the generating means; replicate b redraws responses with the rng
-    stream (seed, b), retrains the rule on ``X``, and the per-unit
-    covariance of the rule's lambda with the simulated outcome yields the
-    optimism.  Given PSU labels, that covariance is scaled by the design
-    effect phi-hat of :func:`estimate_dispersion` on ``gen``
-    (quasi-binomial correction).
+    stream (seed, b), the rule retrains on ``X`` (one call per block of
+    replicates), and the per-unit covariance of the rule's lambda with the
+    simulated outcome yields the optimism.  Given PSU labels, that
+    covariance is scaled by the design effect phi-hat of
+    :func:`estimate_dispersion` on ``gen`` (quasi-binomial correction).
+
+    The covariance comes from running sums over the kept replicates of
+    lambda, e = y* - mu and lambda e, so memory does not grow with B:
+    sum_b lambda_b (y*_b - ybar*) = sum lambda e - (sum lambda)(sum e) / B.
     """
     if B < 2:
         raise ValueError("bootstrap needs at least two replicates")
     X = np.asarray(X, dtype=float)
     y, design, n = gen.y, gen.design, gen.n
     rho_hat, phi_hat = estimate_dispersion(gen) if design.psu is not None else (None, 1.0)
-    base = rule(X, y, design)
+    base = rule(X, y[None], design)
+    if np.isnan(base.lam).any():
+        raise FitError("the rule failed to train on the observed outcomes")
 
-    lam_star = np.empty((B, n))
-    y_star = np.empty((B, n))
-    kept = np.zeros(B, dtype=bool)
-    for b in range(B):
-        rng = np.random.default_rng([seed, b])
-        yb = _draw_responses(rng, gen.family, gen.mu)
-        try:
-            rb = rule(X, yb, design)
-        except (FitError, ValueError):
-            continue
-        lam_star[b] = rb.lam
-        y_star[b] = yb
-        kept[b] = True
-    dropped = int(B - kept.sum())
+    sum_lam, sum_e, sum_lam_e = np.zeros(n), np.zeros(n), np.zeros(n)
+    kept = 0
+    for start in range(0, B, _BLOCK):
+        Y = np.stack([
+            _draw_responses(np.random.default_rng([seed, b]), gen.family, gen.mu)
+            for b in range(start, min(start + _BLOCK, B))
+        ])
+        lam = rule(X, Y, design).lam
+        ok = ~np.isnan(lam).any(axis=1)
+        lam, e = lam[ok], Y[ok] - gen.mu
+        sum_lam += lam.sum(axis=0)
+        sum_e += e.sum(axis=0)
+        sum_lam_e += (lam * e).sum(axis=0)
+        kept += int(ok.sum())
+    dropped = B - kept
     if dropped > 0.1 * B:
         raise FitError(f"{dropped}/{B} bootstrap replicates failed to train")
-    lam_star = lam_star[kept]
-    y_star = y_star[kept]
-    Bk = lam_star.shape[0]
 
-    centered = y_star - y_star.mean(axis=0)
-    cov_i = phi_hat * (lam_star * centered).sum(axis=0) / (Bk - 1)
+    cov_i = phi_hat * (sum_lam_e - sum_lam * sum_e / kept) / (kept - 1)
     omega = 2.0 * float(design.weights @ cov_i) / design.pop_size
-    err_w = in_sample_error(loss, y, base.mu, design)
+    err_w = in_sample_error(loss, y, base.mu[0], design)
     return PenaltyReport(
         err_weighted=err_w,
         omega_hat=omega,

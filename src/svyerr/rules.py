@@ -39,7 +39,8 @@ def _standardize_params(X, weights):
     center = (weights[:, None] * X).sum(axis=0) / wsum
     var = (weights[:, None] * (X - center) ** 2).sum(axis=0) / wsum
     scale = np.sqrt(var)
-    kept = scale > 0.0
+    # a constant column keeps a rounding-level SD when its weighted mean is inexact
+    kept = scale > 1e-12 * np.maximum(np.abs(center), 1.0)
     if not np.all(kept):
         warnings.warn(f"dropping {int((~kept).sum())} zero-variance column(s)")
     return center, scale, np.flatnonzero(kept)
@@ -89,15 +90,15 @@ def knn_rule(X, design: SurveyDesign, k: int) -> pen.PredictionRule:
     """In-sample kNN as a bootstrap-ready prediction rule.
 
     The neighbour structure depends only on X, so it is computed once and
-    reused when the bootstrap retrains on resampled outcomes.
+    reused when the bootstrap retrains on blocks of resampled outcome rows.
     """
     probe = knn_train(X, np.zeros(len(X)), design, k)
     W = _neighbour_weights(probe, probe.X)
     wsums = W.sum(axis=1)
     loss = Loss(LossKind.ZERO_ONE)
 
-    def train(X_train, y, design_train) -> pen.RuleFit:
-        mu = (W @ np.asarray(y, dtype=float)) / wsums
+    def train(X_train, Y, design_train) -> pen.RuleFit:
+        mu = (W @ np.asarray(Y, dtype=float).T).T / wsums
         return pen.RuleFit(mu=mu, lam=np.asarray(fam.lambda_hat(loss, mu)))
 
     return train

@@ -13,6 +13,9 @@ from svyerr.design import (
     meat_stratified_cluster,
     validate_design,
 )
+from svyerr.families import Family, FamilyKind
+from svyerr.fit import fit_weighted_glm
+from svyerr.penalty import estimate_dispersion
 
 
 def _loop_meat_stratified_cluster(X, r, design, certainty_single_psu=False):
@@ -331,3 +334,31 @@ class TestMeatStratifiedCluster:
         np.testing.assert_allclose(got, meat_stratified_cluster(X, r, unique), rtol=1e-12, atol=0)
         np.testing.assert_allclose(got, _loop_meat_stratified_cluster(X, r, reused),
                                    rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_psu_relabelling_within_strata_is_bit_identical(self, seed):
+        # a random bijection of the PSU labels inside each stratum (also to
+        # strings) changes neither the meat nor phi-hat in the last bit
+        rng = np.random.default_rng([21, seed])
+        n_strata, psus, size = 6, 9, 7
+        strata = np.repeat(np.arange(n_strata), psus * size)
+        label = np.tile(np.repeat(np.arange(psus), size), n_strata)
+        order = rng.permutation(strata.size)
+        strata, label = strata[order], label[order]
+        relabelled = np.empty(strata.size, dtype=object)
+        for h in range(n_strata):
+            new = rng.permutation(psus) * 7 + 3 if seed % 2 else rng.permutation(
+                [f"c{h}-{j}" for j in range(psus)])
+            in_h = strata == h
+            relabelled[in_h] = np.asarray(new, dtype=object)[label[in_h]]
+        relabelled = relabelled.astype(int if seed % 2 else str)
+        pi = rng.uniform(0.1, 0.9, size=strata.size)
+        X = np.column_stack([np.ones(strata.size), rng.normal(size=(strata.size, 2))])
+        y = (rng.random(strata.size) < 0.4).astype(float)
+        outs = []
+        for psu in (label, relabelled):
+            d = SurveyDesign(pi=pi, strata=strata, psu=psu)
+            f = fit_weighted_glm(X, y, Family(FamilyKind.BERNOULLI), d)
+            outs.append((meat_stratified_cluster(X, y - f.mu, d), estimate_dispersion(f)))
+        np.testing.assert_array_equal(outs[0][0], outs[1][0])
+        assert outs[0][1] == outs[1][1]

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
+from svyerr import families as fam
+from svyerr import fit as fit_mod
 from svyerr.design import SurveyDesign
 from svyerr.families import Family, FamilyKind, natural_to_mean
 from svyerr.fit import (
@@ -10,8 +13,10 @@ from svyerr.fit import (
     GlmFit,
     fit_weighted_glm,
     information_J,
+    irls,
     sandwich_variance,
 )
+from svyerr.penalty import _draw_responses, glm_rule, hte_bootstrap
 
 GAUSS = Family(FamilyKind.GAUSSIAN)
 BERN = Family(FamilyKind.BERNOULLI)
@@ -24,6 +29,149 @@ def _random_instance(rng, n=40, p=3):
     y = X @ theta + rng.normal(size=n)
     design = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n))
     return X, y, design
+
+
+def _wls_qr(X, z, wts):
+    """Weighted least squares via a pivoted QR of sqrt(W) X."""
+    sw = np.sqrt(wts)
+    A = X * sw[:, None]
+    q, r, piv = sla.qr(A, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = diag.max() * max(A.shape) * np.finfo(float).eps if diag.size else 0.0
+    if np.any(diag <= tol):
+        bad = int(piv[int(np.argmax(diag <= tol))])
+        raise FitError(f"design matrix is rank deficient (column {bad})")
+    theta = np.empty(X.shape[1])
+    theta[piv] = sla.solve_triangular(r, q.T @ (z * sw))
+    return theta
+
+
+def _serial_irls(X, y, family, design):
+    """Reference IRLS for one outcome vector: a QR solve per iteration.
+
+    Returns (theta, mu, iterations) or raises FitError; reads MAX_ITER and
+    TOL_SCORE from the fit module so monkeypatching reaches both paths.
+    """
+    w = design.weights
+    deviance = fam.Loss(fam.LossKind.DEVIANCE, family)
+    score_scale = max(1.0, float(np.max(np.abs(X.T @ (w * np.abs(y) + w)))))
+    mu = fit_mod._initial_mu(family, y)
+    lam = np.asarray(fam.mean_to_natural(family, mu))
+    dev = float(w @ fam.loss_q(deviance, y, mu))
+    theta = None
+    for it in range(1, fit_mod.MAX_ITER + 1):
+        v = np.asarray(fam.unit_variance(family, mu))
+        if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+            raise FitError("degenerate fit: zero model variance at a fitted point")
+        z = lam + (y - mu) / v
+        theta_new = _wls_qr(X, z, w * v)
+        step = 1.0
+        for _ in range(30):
+            cand = theta_new if theta is None else (1 - step) * theta + step * theta_new
+            lam_c = X @ cand
+            mu_c = np.asarray(fam.natural_to_mean(family, lam_c))
+            with np.errstate(over="ignore", invalid="ignore"):
+                dev_c = float(w @ fam.loss_q(deviance, y, mu_c))
+            if theta is None or (np.isfinite(dev_c) and dev_c <= dev + 1e-12 * (1.0 + abs(dev))):
+                break
+            step /= 2.0
+        else:
+            raise FitError("step-halving failed to decrease the weighted deviance")
+        theta, lam, mu, dev = cand, lam_c, mu_c, dev_c
+        score = X.T @ (w * (y - mu))
+        if np.max(np.abs(score)) <= fit_mod.TOL_SCORE * score_scale:
+            return theta, mu, it
+    raise FitError(f"IRLS did not converge in {fit_mod.MAX_ITER} iterations")
+
+
+def _outcome_block(family, seed, m=12, n=80, coef=(0.2, 0.7, -0.5)):
+    """A covariate matrix, a design, and m outcome rows drawn from one GLM."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+    gen_mu = natural_to_mean(family, X @ np.array(coef))
+    d = SurveyDesign(pi=rng.uniform(0.1, 1.0, size=n))
+    Y = np.stack([_draw_responses(rng, family, gen_mu) for _ in range(m)])
+    return X, Y, d
+
+
+class TestIrlsCore:
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_serial_oracle(self, kind, seed):
+        family = Family(kind)
+        X, Y, d = _outcome_block(family, seed)
+        block = irls(X, Y, family, d)
+        for i, y in enumerate(Y):
+            theta, mu, iterations = _serial_irls(X, y, family, d)
+            assert block.errors[i] is None
+            np.testing.assert_allclose(block.theta[i], theta, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(block.mu[i], mu, rtol=1e-10, atol=0)
+            assert block.iterations[i] == iterations
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_row_alone_matches_row_in_block(self, kind):
+        family = Family(kind)
+        X, Y, d = _outcome_block(family, seed=7)
+        block = irls(X, Y, family, d)
+        for i in range(len(Y)):
+            alone = irls(X, Y[i:i + 1], family, d)
+            np.testing.assert_allclose(alone.theta[0], block.theta[i], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(alone.mu[0], block.mu[i], rtol=1e-12, atol=0)
+            assert alone.iterations[0] == block.iterations[i]
+
+    def test_fit_weighted_glm_is_the_one_row_core(self):
+        X, Y, d = _outcome_block(BERN, seed=8, m=1)
+        f = fit_weighted_glm(X, Y[0], BERN, d)
+        block = irls(X, Y, BERN, d)
+        np.testing.assert_array_equal(f.theta, block.theta[0])
+        np.testing.assert_array_equal(f.mu, block.mu[0])
+        assert f.iterations == block.iterations[0]
+
+    def test_singular_system_is_a_nan_row_not_a_failed_block(self):
+        A = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+        got = fit_mod._solve_rows(A, np.ones((3, 2)))
+        np.testing.assert_array_equal(got, [[1.0, 1.0], [np.nan, np.nan], [0.5, 0.5]])
+
+    def test_failed_rows_are_the_oracle_failures(self, monkeypatch):
+        X, Y, d = _outcome_block(BERN, seed=9, m=24)
+        iterations = irls(X, Y, BERN, d).iterations
+        cap = int(np.max(iterations)) - 1
+        monkeypatch.setattr(fit_mod, "MAX_ITER", cap)
+        block = irls(X, Y, BERN, d)
+        want = []
+        for y in Y:
+            try:
+                _serial_irls(X, y, BERN, d)
+                want.append(None)
+            except FitError as exc:
+                want.append(str(exc))
+        assert block.errors == want
+        failed = np.array([e is not None for e in want])
+        assert 0 < failed.sum() < len(Y)
+        assert np.all(np.isnan(block.mu[failed])) and np.all(np.isnan(block.theta[failed]))
+        assert np.all(np.isfinite(block.mu[~failed]))
+
+    def test_bootstrap_drops_exactly_the_failed_replicates(self, monkeypatch):
+        # a strong signal on n=30 spreads the iteration counts, so a low
+        # MAX_ITER fails a few replicates without failing the bootstrap
+        X, Y, d = _outcome_block(BERN, seed=10, m=1, n=30, coef=(0.5, 2.0, -1.5))
+        gen = fit_weighted_glm(X, Y[0], BERN, d)
+        loss = fam.Loss(fam.LossKind.DEVIANCE, gen.family)
+        B, seed = 100, 3
+        draws = [_draw_responses(np.random.default_rng([seed, b]), BERN, gen.mu)
+                 for b in range(B)]
+        iterations = irls(X, np.stack(draws), BERN, d).iterations
+        cap = min(c for c in set(iterations.tolist()) if (iterations > c).sum() <= 0.1 * B)
+        monkeypatch.setattr(fit_mod, "MAX_ITER", cap)
+        dropped = 0
+        for y in draws:
+            try:
+                _serial_irls(X, y, BERN, d)
+            except FitError:
+                dropped += 1
+        assert 0 < dropped <= 0.1 * B
+        report = hte_bootstrap(glm_rule(BERN, loss), X, gen, B=B, seed=seed, loss=loss)
+        assert report.dropped_replicates == dropped
 
 
 class TestFitWeightedGlm:

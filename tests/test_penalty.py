@@ -296,9 +296,8 @@ class TestHteBootstrap:
         rng = np.random.default_rng(12)
         X, y, d = _gaussian_instance(rng, n=40)
 
-        def constant_rule(X_, y_, d_):
-            n = len(y_)
-            return RuleFit(mu=np.full(n, 0.3), lam=np.full(n, 0.3))
+        def constant_rule(X_, Y_, d_):
+            return RuleFit(mu=np.full(Y_.shape, 0.3), lam=np.full(Y_.shape, 0.3))
 
         boot = hte_bootstrap(constant_rule, X, fit_weighted_glm(X, y, GAUSS, d),
                              B=2000, seed=3, loss=SQERR)
@@ -318,11 +317,11 @@ class TestHteBootstrap:
         X, y, d = _gaussian_instance(rng, n=30)
         calls = {"n": 0}
 
-        def flaky_rule(X_, y_, d_):
+        def flaky_rule(X_, Y_, d_):
             calls["n"] += 1
             if calls["n"] > 1:  # fail on every bootstrap replicate
-                raise ValueError("cannot train")
-            return RuleFit(mu=y_, lam=y_)
+                return RuleFit(mu=Y_, lam=np.full(Y_.shape, np.nan))
+            return RuleFit(mu=Y_, lam=Y_)
 
         from svyerr.fit import FitError
 
@@ -333,13 +332,14 @@ class TestHteBootstrap:
     def test_report_dict_carries_dropped_replicates(self):
         rng = np.random.default_rng(15)
         X, y, d = _gaussian_instance(rng, n=30)
-        calls = {"n": 0}
+        seen = {"rows": -1}  # replicate index of the block's first row; -1 is the base fit
 
-        def flaky_rule(X_, y_, d_):
-            calls["n"] += 1
-            if calls["n"] in (3, 7):  # replicates 1 and 5 fail to train
-                raise ValueError("cannot train")
-            return RuleFit(mu=y_, lam=y_)
+        def flaky_rule(X_, Y_, d_):
+            b = seen["rows"] + np.arange(len(Y_))
+            seen["rows"] += len(Y_)
+            lam = Y_.copy()
+            lam[np.isin(b, (1, 5))] = np.nan  # replicates 1 and 5 fail to train
+            return RuleFit(mu=Y_, lam=lam)
 
         report = hte_bootstrap(flaky_rule, X, fit_weighted_glm(X, y, GAUSS, d), B=20, seed=4,
                                loss=SQERR)

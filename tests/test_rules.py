@@ -51,7 +51,7 @@ def test_neighbour_weights_match_loop_oracle(kind, k):
     model = knn_train(X, y, d, k)
     kc = model.kept_columns
     paths = (
-        (model.X, knn_rule(X, d, k)(X, y, d).mu),  # in-sample rule
+        (model.X, knn_rule(X, d, k)(X, y[None], d).mu[0]),  # in-sample rule
         ((query[:, kc] - model.center[kc]) / model.scale[kc], knn_predict(model, query)),
     )
     for Z, votes in paths:
@@ -111,6 +111,19 @@ class TestKnnTrain:
         base = knn_train(X, y, d, k=3)
         np.testing.assert_allclose(knn_predict(model, X_aug), knn_predict(base, X))
 
+    def test_constant_column_with_inexact_weighted_mean_dropped(self):
+        # random weights leave the weighted mean of 7.0 a rounding error off
+        # 7.0, so the column's SD is tiny but not zero; it must still drop
+        rng = np.random.default_rng(13)
+        X, y, d = _binary_data(rng, n=20)
+        X_aug = np.column_stack([X, np.full(20, 7.0)])
+        with pytest.warns(UserWarning, match="dropping 1 zero-variance"):
+            model = knn_train(X_aug, y, d, k=3)
+        np.testing.assert_array_equal(model.kept_columns, [0, 1])
+        query = np.array([[0.3, -0.2, 7.5], [-1.0, 0.8, 7.5]])
+        np.testing.assert_array_equal(knn_predict(model, query),
+                                      knn_predict(knn_train(X, y, d, k=3), query[:, :2]))
+
     def test_all_columns_dropped_every_point_is_a_neighbour(self):
         # with no column left every distance is zero, so all n points tie
         # at the k-th distance and each vote is the weighted mean outcome
@@ -125,7 +138,7 @@ class TestKnnTrain:
                                    rtol=0, atol=1e-12)
         with pytest.warns(UserWarning, match="zero-variance"):
             rule = knn_rule(X, d, k=3)
-        np.testing.assert_allclose(rule(X, y, d).mu, majority, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rule(X, y[None], d).mu[0], majority, rtol=0, atol=1e-12)
 
 
 class TestKnnPredict:
@@ -179,10 +192,23 @@ class TestKnnRule:
         rng = np.random.default_rng(7)
         X, y, d = _binary_data(rng, n=50)
         rule = knn_rule(X, d, k=7)
-        fit = rule(X, y, d)
+        fit = rule(X, y[None], d)
         model = knn_train(X, y, d, k=7)
-        np.testing.assert_allclose(fit.mu, knn_predict(model, X), atol=1e-12)
+        np.testing.assert_allclose(fit.mu[0], knn_predict(model, X), atol=1e-12)
         assert set(np.unique(fit.lam)) <= {-1.0, 1.0}
+
+
+    @pytest.mark.parametrize("kind", ["integer_grid", "continuous"])
+    def test_block_votes_bit_identical_to_per_row_votes(self, kind):
+        X, _, d, _ = _neighbour_case(kind, n=60)
+        rng = np.random.default_rng(12)
+        Y = (rng.random((37, 60)) < 0.5).astype(float)
+        rule = knn_rule(X, d, k=9)
+        fit = rule(X, Y, d)
+        W = _neighbour_weights(knn_train(X, Y[0], d, k=9), knn_train(X, Y[0], d, k=9).X)
+        want = np.stack([(W @ y) / W.sum(axis=1) for y in Y])
+        np.testing.assert_array_equal(fit.mu, want)
+        np.testing.assert_array_equal(fit.lam, np.where(want < 0.5, -1.0, 1.0))
 
 
 class TestKnnErrorReport:
