@@ -1,4 +1,4 @@
-"""Command-line front end: fit, simulate, knn, and gfr subcommands.
+"""Command-line front end: fit, simulate and knn subcommands.
 
 Exit codes are a stable contract: 0 success, 2 schema error, 3 numerical
 failure, 4 I/O error.
@@ -21,7 +21,7 @@ from .design import DesignError, MeatStructure, SurveyDesign
 from .families import Family, FamilyKind, Loss, LossKind
 from .fit import FitError, fit_weighted_glm, sandwich_variance
 
-__all__ = ["main", "mdrd_gfr", "SchemaError"]
+__all__ = ["main", "SchemaError"]
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -31,43 +31,6 @@ EXIT_IO = 4
 
 class SchemaError(ValueError):
     """Input data does not match the declared column schema."""
-
-
-def mdrd_gfr(
-    scr: float,
-    age_years: float,
-    bun: float,
-    salb: float,
-    is_black: bool = False,
-    is_female: bool = False,
-    recalibrate_scr: bool = False,
-) -> float:
-    """Estimated GFR (mL/min/1.73m^2) from the MDRD serum-marker formula.
-
-    ``recalibrate_scr`` subtracts 0.23 mg/dL from serum creatinine to
-    correct the known assay overestimate before evaluation.
-    """
-    if recalibrate_scr:
-        scr = scr - 0.23
-        if scr <= 0.0:
-            raise ValueError("recalibrated serum creatinine must be positive")
-    for name, v in (("scr", scr), ("age_years", age_years), ("bun", bun), ("salb", salb)):
-        if v <= 0.0:
-            raise ValueError(f"{name} must be positive")
-    return (
-        170.0
-        * scr**-0.999
-        * age_years**-0.176
-        * bun**-0.170
-        * salb**0.318
-        * 1.180 ** (1 if is_black else 0)
-        * 0.762 ** (1 if is_female else 0)
-    )
-
-
-def is_grade3_ckd(gfr: float) -> bool:
-    """Grade-3 chronic kidney disease flag: GFR below 60."""
-    return gfr < 60.0
 
 
 # --------------------------------------------------------------------- #
@@ -114,9 +77,12 @@ def load_dataset(
 
     def numeric(col):
         try:
-            return np.array([float(r[col]) for r in kept])
+            v = np.array([float(r[col]) for r in kept])
         except ValueError as exc:
             raise SchemaError(f"non-numeric value in column {col!r}: {exc}") from exc
+        if not np.all(np.isfinite(v)):
+            raise SchemaError(f"non-finite value in column {col!r}")
+        return v
 
     y = numeric(outcome)
     X = np.column_stack([np.ones(len(kept))] + [numeric(c) for c in covariates])
@@ -177,8 +143,8 @@ def cmd_fit(args) -> int:
         raise SchemaError("bernoulli outcome column must be 0/1")
     f = fit_weighted_glm(X, y, family, design)
     loss = Loss(LossKind.DEVIANCE, f.family)
-    clustered = bool(args.strata and args.psu)
-    structure = MeatStructure.STRATIFIED_CLUSTER if clustered else MeatStructure.INDEPENDENT
+    # PSU labels without strata make the whole sample one stratum
+    structure = MeatStructure.STRATIFIED_CLUSTER if args.psu else MeatStructure.INDEPENDENT
     interval = {}
     if args.method == "hte-bootstrap":
         # seed gives the reported penalty; seed + 1, ... re-run it under
@@ -194,9 +160,10 @@ def cmd_fit(args) -> int:
             "q025": float(np.quantile(phats, 0.025)),
             "q975": float(np.quantile(phats, 0.975)),
         }
+        sw = sandwich_variance(f, structure)
     else:
         report = pen.hte_analytic(f, loss=loss, structure=structure)
-    sw = sandwich_variance(f, structure)
+        sw = report.sandwich
     out = {
         "theta": list(f.theta),
         "v_diagonal": list(np.diag(sw.V)),
@@ -254,16 +221,6 @@ def cmd_knn(args) -> int:
     return EXIT_OK
 
 
-def cmd_gfr(args) -> int:
-    gfr = mdrd_gfr(
-        args.scr, args.age, args.bun, args.salb,
-        is_black=args.black, is_female=args.female,
-        recalibrate_scr=args.recalibrate,
-    )
-    print(json.dumps({"gfr": gfr, "grade3_ckd": is_grade3_ckd(gfr)}))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svyerr",
@@ -311,15 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_knn.add_argument("--out-csv")
     p_knn.set_defaults(func=cmd_knn)
 
-    p_gfr = sub.add_parser("gfr", help="MDRD estimated GFR")
-    p_gfr.add_argument("--scr", type=float, required=True)
-    p_gfr.add_argument("--age", type=float, required=True)
-    p_gfr.add_argument("--bun", type=float, required=True)
-    p_gfr.add_argument("--salb", type=float, required=True)
-    p_gfr.add_argument("--black", action="store_true")
-    p_gfr.add_argument("--female", action="store_true")
-    p_gfr.add_argument("--recalibrate", action="store_true")
-    p_gfr.set_defaults(func=cmd_gfr)
     return parser
 
 

@@ -18,10 +18,7 @@ __all__ = [
     "SurveyDesign",
     "MeatStructure",
     "DesignError",
-    "DesignDiagnostics",
-    "ht_total",
     "psu_cells",
-    "validate_design",
     "meat_independent",
     "meat_stratified_cluster",
 ]
@@ -29,6 +26,10 @@ __all__ = [
 
 class DesignError(ValueError):
     """Invalid sampling-design specification."""
+
+
+def _finite_positive(a) -> bool:
+    return bool(np.all(np.isfinite(a) & (a > 0.0)))
 
 
 class MeatStructure(str, Enum):
@@ -59,21 +60,23 @@ class SurveyDesign:
     def __post_init__(self) -> None:
         pi = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "pi", pi)
-        if np.any(pi <= 0.0) or np.any(pi > 1.0):
+        if not np.all((pi > 0.0) & (pi <= 1.0)):  # NaN fails too
             raise DesignError("inclusion probabilities must lie in (0, 1]")
         w = self.weights
         w = 1.0 / pi if w is None else np.asarray(w, dtype=float)
         if w.shape != pi.shape:
             raise DesignError("weights and pi must have the same length")
-        if np.any(w <= 0.0):
-            raise DesignError("weights must be positive")
+        if not _finite_positive(w):
+            raise DesignError("weights must be finite and positive")
         if self.pop_size is not None and self.hajek:
             w = w * (float(self.pop_size) / w.sum())
+        pop_size = float(np.round(w.sum()) if self.pop_size is None else self.pop_size)
+        # after the Hajek rescaling, which a zero or negative N turns into
+        # zero or negative weights
+        if not (_finite_positive(pop_size) and _finite_positive(w)):
+            raise DesignError(f"population size and weights must be finite and positive, N = {pop_size:g}")
         object.__setattr__(self, "weights", w)
-        if self.pop_size is None:
-            object.__setattr__(self, "pop_size", float(np.round(w.sum())))
-        else:
-            object.__setattr__(self, "pop_size", float(self.pop_size))
+        object.__setattr__(self, "pop_size", pop_size)
         for name in ("strata", "psu"):
             v = getattr(self, name)
             if v is not None:
@@ -97,26 +100,6 @@ class SurveyDesign:
     def from_weights(cls, weights, **kwargs) -> "SurveyDesign":
         w = np.asarray(weights, dtype=float)
         return cls(pi=np.minimum(1.0, 1.0 / w), weights=w, **kwargs)
-
-
-@dataclass(frozen=True)
-class DesignDiagnostics:
-    n: int
-    n_strata: int
-    n_psu: int
-    pi_min: float
-    pi_max: float
-    weight_sum: float
-    pop_size: float
-    weight_sum_discrepancy: float
-
-
-def ht_total(values, design: SurveyDesign) -> float:
-    """Horvitz-Thompson estimate of the population total of ``values``."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != design.pi.shape:
-        raise DesignError("values must align with the design vectors")
-    return float(design.weights @ values)
 
 
 def psu_cells(design: SurveyDesign) -> tuple[np.ndarray, np.ndarray]:
@@ -143,23 +126,6 @@ def psu_cells(design: SurveyDesign) -> tuple[np.ndarray, np.ndarray]:
     return rank[cell], h[first[order]]
 
 
-def validate_design(design: SurveyDesign) -> DesignDiagnostics:
-    """Summarize a design: strata/PSU counts and the weight-sum vs N gap."""
-    n_strata = len(np.unique(design.strata)) if design.strata is not None else 1
-    n_psu = len(psu_cells(design)[1]) if design.psu is not None else design.n
-    wsum = float(design.weights.sum())
-    return DesignDiagnostics(
-        n=design.n,
-        n_strata=n_strata,
-        n_psu=n_psu,
-        pi_min=float(design.pi.min()),
-        pi_max=float(design.pi.max()),
-        weight_sum=wsum,
-        pop_size=design.pop_size,
-        weight_sum_discrepancy=abs(wsum - design.pop_size) / design.pop_size,
-    )
-
-
 def meat_independent(X, residuals, design: SurveyDesign) -> np.ndarray:
     """Score covariance for an independently drawn unstratified sample.
 
@@ -179,53 +145,42 @@ def _segment_sums(group, X, n_groups: int) -> np.ndarray:
     return np.stack([np.bincount(group, x, n_groups) for x in X.T], axis=1)
 
 
-def meat_stratified_cluster(
-    X,
-    residuals,
-    design: SurveyDesign,
-    certainty_single_psu: bool = False,
-) -> np.ndarray:
+def meat_stratified_cluster(X, residuals, design: SurveyDesign) -> np.ndarray:
     """Score covariance with the stratified/PSU block structure.
 
     Within each stratum, same-PSU blocks use raw residual outer products;
     cross-PSU blocks use residuals centered at their within-PSU mean, so
     a stratum of singleton PSUs contributes no cross terms and the result
-    collapses to :func:`meat_independent`.
+    collapses to :func:`meat_independent`.  Every stratum needs at least
+    two PSUs.
 
-    PSUs are the (stratum, label) cells of :func:`psu_cells`.  Cost O(n p)
-    plus the sorts of the labels, from segment sums: rows u_c and v_c of U
-    and C sum x_i w_i r_i over PSU c, with r_i raw and centered at the PSU
+    PSUs are the (stratum, label) cells of :func:`psu_cells`; without
+    stratum labels the whole sample is one stratum.  Cost O(n p) plus the
+    sorts of the labels, from segment sums: rows u_c and v_c of U and C
+    sum x_i w_i r_i over PSU c, with r_i raw and centered at the PSU
     mean; row s_h of S sums the v_c of stratum h.  Then V_U =
-    (U^T U + S^T S - C^T C) / N^2; certainty PSUs add their units'
-    independent outer products instead.
+    (U^T U + S^T S - C^T C) / N^2.
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(residuals, dtype=float)
-    if design.strata is None or design.psu is None:
-        raise DesignError("stratified meat requires stratum and PSU labels")
     if X.shape[0] != r.shape[0] or r.shape != design.pi.shape:
         raise DesignError("X, residuals, and design must align")
     cell, stratum_of_cell = psu_cells(design)
     n_cells, n_strata = len(stratum_of_cell), int(stratum_of_cell.max()) + 1
-    h = stratum_of_cell[cell]
     lonely = np.bincount(stratum_of_cell, minlength=n_strata) < 2
-    if lonely.any() and not certainty_single_psu:
-        label = design.strata.item(int(np.argmax(h == np.argmax(lonely))))
-        raise DesignError(
-            f"stratum {label!r} has a single PSU; variance within "
-            "one cluster is unidentifiable (pass certainty_single_psu=True to treat "
-            "its units as independently sampled)"
-        )
+    if lonely.any():
+        if design.strata is None:
+            where = "the sample has"
+        else:
+            h = stratum_of_cell[cell]
+            label = design.strata.item(int(np.argmax(h == np.argmax(lonely))))
+            where = f"stratum {label!r} has"
+        raise DesignError(f"{where} a single PSU; variance within one cluster is unidentifiable")
     w = design.weights
     rbar = np.bincount(cell, r, n_cells) / np.bincount(cell, minlength=n_cells)
     U = _segment_sums(cell, X * (w * r)[:, None], n_cells)
     C = _segment_sums(cell, X * (w * (r - rbar[cell]))[:, None], n_cells)
-    # certainty PSUs (alone in their stratum): units contribute independently
-    unit = lonely[h]
-    A = X[unit] * (w[unit] * r[unit])[:, None]
-    cluster = ~lonely[stratum_of_cell]
-    U, C, stratum_of_cell = U[cluster], C[cluster], stratum_of_cell[cluster]
     S = _segment_sums(stratum_of_cell, C, n_strata)
     # same-PSU blocks plus all cross-PSU centered blocks
-    V = (A.T @ A + U.T @ U + S.T @ S - C.T @ C) / design.pop_size**2
+    V = (U.T @ U + S.T @ S - C.T @ C) / design.pop_size**2
     return (V + V.T) / 2.0

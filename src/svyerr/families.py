@@ -86,18 +86,6 @@ class Loss:
             raise ValueError("deviance loss requires a family")
 
 
-def gaussian(dispersion: float = 1.0) -> Family:
-    return Family(FamilyKind.GAUSSIAN, dispersion)
-
-
-def bernoulli() -> Family:
-    return Family(FamilyKind.BERNOULLI)
-
-
-def poisson() -> Family:
-    return Family(FamilyKind.POISSON)
-
-
 def _clamp(lam):
     return np.clip(lam, -NATURAL_CLAMP, NATURAL_CLAMP)
 

@@ -11,7 +11,7 @@ loss).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import design as dsn
 from . import families as fam
 from .design import MeatStructure, SurveyDesign
 from .families import Family, FamilyKind, Loss, LossKind
-from .fit import FitError, GlmFit, irls, sandwich_variance
+from .fit import FitError, GlmFit, SandwichVariance, irls, sandwich_variance
 
 __all__ = [
     "PenaltyReport",
@@ -37,7 +37,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PenaltyReport:
-    """In-sample error, estimated optimism, and the inflated error estimate."""
+    """In-sample error, estimated optimism, and the inflated error estimate.
+
+    ``sandwich`` is the sandwich the analytic penalty was built from (None
+    for the bootstrap); it is not part of :meth:`to_dict`.
+    """
 
     err_weighted: float
     omega_hat: float
@@ -49,6 +53,7 @@ class PenaltyReport:
     phi_hat: float | None = None
     rho_hat: float | None = None
     dropped_replicates: int = 0
+    sandwich: SandwichVariance | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -168,6 +173,7 @@ def hte_analytic(
         # effective-parameter count carries the n scaling
         p_hat=fit.n * tr_jv,
         method="analytic",
+        sandwich=sw,
     )
 
 

@@ -1,7 +1,7 @@
 """Monte Carlo studies of the HT-weighted covariance penalty.
 
 Generates finite populations under the eight benchmark scenarios, draws
-fixed-size systematic PPS samples, and runs the optimism and
+fixed-size successive-draw PPS samples, and runs the optimism and
 HTE-versus-naive-AIC experiments with per-replicate seed streams so the
 results are reproducible regardless of execution order.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +98,6 @@ class CaseControlSpec:
     prevalence: float = 1.0 / 200.0
     case_fraction: float = 0.20
     sample_size: int = 1_000
-    family_kind: FamilyKind = FamilyKind.BERNOULLI
 
     def __post_init__(self) -> None:
         for v in (self.prevalence, self.case_fraction):
@@ -139,69 +137,22 @@ def generate_population(spec: ScenarioSpec, seed) -> tuple[np.ndarray, np.ndarra
     return x, y, size
 
 
-def inclusion_probabilities(size_measure, n: int) -> np.ndarray:
-    """Fixed-size PPS probabilities pi = n * m / sum(m), clipped at 1.
-
-    Clipped units are set to certainty and the remainder rescaled
-    iteratively so the probabilities still sum to n.
-    """
-    m = np.asarray(size_measure, dtype=float)
-    if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
-        raise ValueError("size measures must be finite and positive")
-    pi = np.zeros_like(m)
-    free = np.ones(len(m), dtype=bool)
-    n_free = n
-    for _ in range(len(m)):
-        pi[free] = n_free * m[free] / m[free].sum()
-        over = free & (pi >= 1.0)
-        if not np.any(over):
-            break
-        pi[over] = 1.0
-        n_free -= int(over.sum())
-        free &= ~over
-        if n_free <= 0:
-            break
-    clipped = int((~free).sum())
-    if clipped > 0.01 * len(m):
-        warnings.warn(f"{clipped} units clipped at pi=1")
-    return np.minimum(pi, 1.0)
-
-
 def draw_sample(
-    population: tuple[np.ndarray, np.ndarray, np.ndarray],
-    n: int,
-    seed,
-    method: str = "systematic",
+    population: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, seed
 ) -> tuple[np.ndarray, SurveyDesign]:
     """Fixed-size PPS draw; returns selected indices and their design.
 
-    ``systematic`` runs the systematic procedure on a randomly permuted
-    order, so realized inclusion frequencies match the (clip-corrected)
-    probabilities exactly.  ``pps_draw`` mimics common survey software:
-    n successive draws without replacement with probability proportional
-    to size, weighted by the nominal pi = min(1, n m / sum m); under very
-    skewed size measures the nominal pi can differ materially from the
-    realized inclusion frequencies.
+    Mimics common survey software: n successive draws without replacement
+    with probability proportional to size, weighted by the nominal
+    pi = min(1, n m / sum m); under very skewed size measures the nominal
+    pi can differ materially from the realized inclusion frequencies.
     """
-    x, y, size = population
-    N = len(size)
+    m = np.asarray(population[2], dtype=float)
+    N = len(m)
     rng = np.random.default_rng(seed)
-    if method == "systematic":
-        pi = inclusion_probabilities(size, n)
-        perm = rng.permutation(N)
-        cum = np.cumsum(pi[perm])
-        points = rng.random() + np.arange(n)
-        pos = np.minimum(np.searchsorted(cum, points, side="right"), N - 1)
-        idx = perm[pos]
-    elif method == "pps_draw":
-        m = np.asarray(size, dtype=float)
-        idx = rng.choice(N, size=n, replace=False, p=m / m.sum())
-        pi = np.zeros(N)
-        pi[idx] = np.minimum(1.0, n * m[idx] / m.sum())
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    design = SurveyDesign(pi=pi[idx], pop_size=float(N))
-    return idx, design
+    idx = rng.choice(N, size=n, replace=False, p=m / m.sum())
+    pi = np.minimum(1.0, n * m[idx] / m.sum())
+    return idx, SurveyDesign(pi=pi, pop_size=float(N))
 
 
 def _fit_scenario_sample(x_s, y_s, family: Family, design: SurveyDesign):
@@ -209,16 +160,14 @@ def _fit_scenario_sample(x_s, y_s, family: Family, design: SurveyDesign):
     return fit_weighted_glm(X, y_s, family, design)
 
 
-def run_optimism_experiment(
-    spec: ScenarioSpec, reps: int, seed: int, sampling: str = "pps_draw"
-) -> ExperimentSummary:
+def run_optimism_experiment(spec: ScenarioSpec, reps: int, seed: int) -> ExperimentSummary:
     """Optimism benchmark: finite-population Err - err versus analytic HTE.
 
     Each replicate regenerates the population, draws a sample, fits the
     intercept-plus-slope model with inverse-probability weights, and
     records the squared-error in-sample error, finite-population error,
-    and the analytic optimism estimate.  The default successive-draw PPS
-    sampler carries nominal inclusion probabilities; under the heavily
+    and the analytic optimism estimate.  The successive-draw PPS sampler
+    carries nominal inclusion probabilities; under the heavily
     skewed size measures these can diverge from the realized frequencies,
     which is exactly the weighting-mismatch regime the benchmark probes.
     """
@@ -231,7 +180,7 @@ def run_optimism_experiment(
     for rep in range(reps):
         pop = generate_population(spec, [seed, rep, 0])
         x, y, _ = pop
-        idx, design = draw_sample(pop, spec.sample_size, [seed, rep, 1], method=sampling)
+        idx, design = draw_sample(pop, spec.sample_size, [seed, rep, 1])
         try:
             f = _fit_scenario_sample(x[idx], y[idx], family, design)
             report = pen.hte_analytic(f, loss=sq)
@@ -265,22 +214,12 @@ def _case_control_population(cc: CaseControlSpec, rng: np.random.Generator):
     n = cc.sample_size
     N = int(max(10 * n, math.ceil(0.4 * n / cc.prevalence)))
     x = rng.normal(size=N)
-    if cc.family_kind is FamilyKind.BERNOULLI:
-        # intercept tuned so the realized event rate matches the prevalence
-        a = optimize.brentq(
-            lambda a: special.expit(a + x).mean() - cc.prevalence, -40.0, 10.0
-        )
-        mu = special.expit(a + x)
-        y = (rng.random(N) < mu).astype(float)
-        cases = y == 1.0
-    else:
-        eta = x
-        if cc.family_kind is FamilyKind.GAUSSIAN:
-            y = eta + rng.normal(size=N)
-        else:
-            y = rng.poisson(np.exp(np.clip(eta, None, 20.0))).astype(float)
-        cases = eta >= np.quantile(eta, 1.0 - cc.prevalence)
-    return x, y, cases
+    # intercept tuned so the realized event rate matches the prevalence
+    a = optimize.brentq(
+        lambda a: special.expit(a + x).mean() - cc.prevalence, -40.0, 10.0
+    )
+    y = (rng.random(N) < special.expit(a + x)).astype(float)
+    return x, y, y == 1.0
 
 
 def _case_control_draw(cases: np.ndarray, n: int, frac: float, rng: np.random.Generator):
@@ -302,25 +241,29 @@ def _case_control_draw(cases: np.ndarray, n: int, frac: float, rng: np.random.Ge
     return idx, design
 
 
+def _mc_se(v: np.ndarray) -> float:
+    """Monte Carlo standard error of the mean of ``v``."""
+    return float(v.std(ddof=1) / math.sqrt(len(v)))
+
+
 def run_relative_error_experiment(
     cc: CaseControlSpec, grid: dict, reps: int, seed: int
 ) -> list[dict]:
-    """Mean relative estimation error of HTE and scaled naive AIC.
+    """Mean relative estimation error of HTE and naive AIC for logistic fits.
 
     ``grid`` maps one field of ``cc`` ("sample_size" or "prevalence") to
-    the values to sweep.  True error is measured on the unsampled part of
-    the finite population; each cell reports the two mean relative errors
-    and their ratio (HTE / AIC, below 1 when HTE is closer).
+    the values to sweep.  True error is the deviance on the unsampled part
+    of the finite population; each cell reports the two mean relative
+    errors, their ratio (HTE / AIC, below 1 when HTE is closer), and the
+    Monte Carlo standard errors of both means and of their paired
+    difference.
     """
     (key, values), = grid.items()
+    family = Family(FamilyKind.BERNOULLI)
+    loss = Loss(LossKind.DEVIANCE, family)
     rows = []
     for cell, value in enumerate(values):
         spec = CaseControlSpec(**{**cc.__dict__, key: value})
-        family = Family(spec.family_kind)
-        if spec.family_kind is FamilyKind.GAUSSIAN:
-            loss = Loss(LossKind.SQUARED_ERROR)
-        else:
-            loss = Loss(LossKind.DEVIANCE, family)
         rel_hte, rel_aic = [], []
         for rep in range(reps):
             rng = np.random.default_rng([seed, cell, rep])
@@ -339,24 +282,20 @@ def run_relative_error_experiment(
             mu_rest = np.asarray(
                 fam.natural_to_mean(family, f.theta[0] + f.theta[1] * x[rest])
             )
-            if loss.kind is LossKind.DEVIANCE:
-                loss_true = Loss(LossKind.DEVIANCE, f.family)
-                err_true = float(np.mean(np.asarray(fam.loss_q(loss_true, y[rest], mu_rest))))
-            else:
-                err_true = float(np.mean((y[rest] - mu_rest) ** 2))
-            aic = pen.aic_naive(uf)
-            if loss.kind is LossKind.SQUARED_ERROR:
-                aic *= uf.family.dispersion
+            err_true = float(np.mean(np.asarray(fam.loss_q(loss, y[rest], mu_rest))))
             rel_hte.append(abs(report.err_hat - err_true) / err_true)
-            rel_aic.append(abs(aic - err_true) / err_true)
+            rel_aic.append(abs(pen.aic_naive(uf) - err_true) / err_true)
+        hte, aic = np.array(rel_hte), np.array(rel_aic)
         rows.append(
             {
                 key: value,
-                "family": spec.family_kind.value,
-                "reps": len(rel_hte),
-                "rel_err_hte": float(np.mean(rel_hte)),
-                "rel_err_aic": float(np.mean(rel_aic)),
-                "ratio": float(np.mean(rel_hte) / np.mean(rel_aic)),
+                "reps": len(hte),
+                "rel_err_hte": float(hte.mean()),
+                "rel_err_aic": float(aic.mean()),
+                "ratio": float(hte.mean() / aic.mean()),
+                "mc_se_hte": _mc_se(hte),
+                "mc_se_aic": _mc_se(aic),
+                "mc_se_diff": _mc_se(hte - aic),
             }
         )
     return rows

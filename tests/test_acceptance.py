@@ -216,7 +216,7 @@ def test_criterion_9_bootstrap_matches_analytic_on_weighted_logistic():
 
 def test_criterion_10_outperforms_naive_criterion_for_small_oversampled_studies():
     rows = run_relative_error_experiment(
-        CaseControlSpec(family_kind=FamilyKind.BERNOULLI),
+        CaseControlSpec(),
         {"sample_size": [50, 500, 5_000]},
         reps=100,
         seed=SEED,
@@ -231,7 +231,10 @@ def test_criterion_10_outperforms_naive_criterion_for_small_oversampled_studies(
         10,
         "weighted estimator beats naive criterion at n=50, advantage shrinks with n",
         ok,
-        "ratios " + ", ".join(f"{r:.5f}" for r in ratios),
+        "ratios " + ", ".join(f"{r:.5f}" for r in ratios)
+        + "; MC SE of hte/aic/paired difference "
+        + ", ".join(f"{r['mc_se_hte']:.5f}/{r['mc_se_aic']:.5f}/{r['mc_se_diff']:.5f}"
+                    for r in rows),
     )
 
 

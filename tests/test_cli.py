@@ -1,4 +1,4 @@
-"""Command-line interface: ingestion, subcommands, exit codes, GFR."""
+"""Command-line interface: ingestion, subcommands, exit codes."""
 
 import csv
 import json
@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from svyerr.cli import is_grade3_ckd, load_dataset, main, mdrd_gfr, SchemaError
+from svyerr import cli, fit, penalty
+from svyerr.cli import load_dataset, main, SchemaError
 from svyerr.families import Family, FamilyKind
 from svyerr.fit import fit_weighted_glm
 from svyerr.penalty import estimate_dispersion
@@ -44,40 +45,6 @@ def logistic_csv(tmp_path):
     path = tmp_path / "logit.csv"
     _write_csv(path, ["y", "x1", "x2", "w"], np.column_stack([y, x1, x2, w]).tolist())
     return str(path)
-
-
-class TestMdrdGfr:
-    def test_unit_inputs(self):
-        assert mdrd_gfr(1.0, 1.0, 1.0, 1.0) == pytest.approx(170.0)
-
-    def test_indicator_factors(self):
-        base = mdrd_gfr(1.2, 55.0, 18.0, 4.1)
-        assert mdrd_gfr(1.2, 55.0, 18.0, 4.1, is_black=True) == pytest.approx(1.180 * base)
-        assert mdrd_gfr(1.2, 55.0, 18.0, 4.1, is_female=True) == pytest.approx(0.762 * base)
-
-    def test_formula_oracle(self):
-        want = (
-            170.0 * 1.0**-0.999 * 60.0**-0.176 * 15.0**-0.170 * 4.0**0.318 * 0.762
-        )
-        got = mdrd_gfr(1.0, 60.0, 15.0, 4.0, is_female=True)
-        assert got == pytest.approx(want, abs=1e-9)
-
-    def test_recalibration_shifts_creatinine(self):
-        assert mdrd_gfr(1.23, 50.0, 20.0, 4.0, recalibrate_scr=True) == pytest.approx(
-            mdrd_gfr(1.0, 50.0, 20.0, 4.0)
-        )
-
-    def test_recalibration_rejects_low_creatinine(self):
-        with pytest.raises(ValueError):
-            mdrd_gfr(0.2, 50.0, 20.0, 4.0, recalibrate_scr=True)
-
-    def test_nonpositive_input_rejected(self):
-        with pytest.raises(ValueError):
-            mdrd_gfr(1.0, -5.0, 20.0, 4.0)
-
-    def test_grade3_threshold(self):
-        assert is_grade3_ckd(59.9)
-        assert not is_grade3_ckd(60.0)
 
 
 class TestLoadDataset:
@@ -123,6 +90,32 @@ class TestLoadDataset:
         _write_csv(path, ["y", "x", "w"], [[1.0, 1.0, 2.0], [2.0, 2.0, 2.0]])
         _, _, design = load_dataset(str(path), "y", ["x"], "w", None, hajek_n=10.0)
         assert design.weights.sum() == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("nan_weight", "non-finite value in column 'w'"),
+        ("inf_covariate", "non-finite value in column 'x'"),
+        ("hajek_zero", "population size and weights must be finite and positive"),
+        ("hajek_negative", "population size and weights must be finite and positive"),
+    ])
+    def test_invalid_numbers_schema_exit(self, tmp_path, capsys, bad, message):
+        rng = np.random.default_rng(7)
+        n = 60
+        x = rng.normal(size=n)
+        y = x + rng.normal(size=n)
+        w = rng.uniform(1.0, 3.0, size=n)
+        hajek = {"hajek_zero": ["--hajek", "0"], "hajek_negative": ["--hajek", "-1"]}
+        if bad == "nan_weight":
+            w[5] = np.nan
+        elif bad == "inf_covariate":
+            x[5] = np.inf
+        path = tmp_path / "d.csv"
+        _write_csv(path, ["y", "x", "w"], np.column_stack([y, x, w]).tolist())
+        code = main([
+            "fit", "--data", str(path), "--outcome", "y", "--covariates", "x",
+            "--weights", "w", "--family", "gaussian", "--seed", "1", *hajek.get(bad, []),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCmdFit:
@@ -212,6 +205,43 @@ class TestCmdFit:
         assert clustered["theta"] == independent["theta"]
         assert not np.allclose(clustered["v_diagonal"], independent["v_diagonal"], rtol=1e-3)
         assert clustered["omega_hat"] != pytest.approx(independent["omega_hat"], rel=1e-3)
+
+    @pytest.mark.parametrize("method", ["hte-analytic", "hte-bootstrap"])
+    def test_psu_without_strata_is_one_stratum(self, tmp_path, capsys, method):
+        path = self._clustered_csv(tmp_path / "clustered.csv")
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        _write_csv(path, header + ["everyone"], [r + ["all"] for r in rows])
+        base = ["fit", "--data", path, "--outcome", "y", "--covariates", "x1",
+                "--weights", "w", "--family", "bernoulli", "--seed", "1",
+                "--method", method, "--B", "20", "--interval-runs", "3"]
+        outs = []
+        for extra in ([], ["--strata", "stratum"], ["--psu", "cluster"],
+                      ["--strata", "everyone", "--psu", "cluster"]):
+            assert main(base + extra) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        independent, strata_only, psu_only, one_stratum = outs
+        assert strata_only == independent
+        assert psu_only == one_stratum
+        assert not np.allclose(psu_only["v_diagonal"], independent["v_diagonal"], rtol=1e-3)
+
+    @pytest.mark.parametrize("method", ["hte-analytic", "hte-bootstrap"])
+    @pytest.mark.parametrize("extra", [[], ["--strata", "stratum", "--psu", "cluster"]])
+    def test_one_sandwich_per_fit(self, tmp_path, monkeypatch, capsys, method, extra):
+        calls = []
+        inner = fit.sandwich_variance
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        for module in (fit, penalty, cli):
+            monkeypatch.setattr(module, "sandwich_variance", counted)
+        path = self._clustered_csv(tmp_path / "clustered.csv")
+        assert main(["fit", "--data", path, "--outcome", "y", "--covariates", "x1",
+                     "--weights", "w", "--family", "bernoulli", "--seed", "1",
+                     "--method", method, "--B", "20", "--interval-runs", "3", *extra]) == 0
+        assert len(calls) == 1
 
     def test_single_psu_stratum_numeric_exit(self, tmp_path, capsys):
         path = self._clustered_csv(tmp_path / "lonely.csv", psu_per_stratum=(3, 1, 3))
@@ -401,16 +431,3 @@ class TestCmdKnn:
             "--covariates", "x1", "--weights", "w", "--seed", "2",
         ])
         assert code == 2
-
-
-class TestCmdGfr:
-    def test_json_output(self, capsys):
-        code = main(["gfr", "--scr", "1.0", "--age", "1.0", "--bun", "1.0", "--salb", "1.0"])
-        assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["gfr"] == pytest.approx(170.0)
-        assert out["grade3_ckd"] is False
-
-    def test_invalid_input_numeric_exit(self):
-        assert main(["gfr", "--scr", "0.1", "--age", "50", "--bun", "15",
-                     "--salb", "4", "--recalibrate"]) == 3

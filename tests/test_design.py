@@ -1,4 +1,4 @@
-"""Survey designs, HT totals, and the score-covariance meat matrices."""
+"""Survey designs, HT totals, PSU cells, and the score-covariance meat matrices."""
 
 import itertools
 
@@ -8,36 +8,29 @@ import pytest
 from svyerr.design import (
     DesignError,
     SurveyDesign,
-    ht_total,
     meat_independent,
     meat_stratified_cluster,
-    validate_design,
+    psu_cells,
 )
 from svyerr.families import Family, FamilyKind
 from svyerr.fit import fit_weighted_glm
 from svyerr.penalty import estimate_dispersion
 
 
-def _loop_meat_stratified_cluster(X, r, design, certainty_single_psu=False):
+def _loop_meat_stratified_cluster(X, r, design):
     """Reference stratified/PSU meat: one full-sample mask per stratum and PSU."""
     w = design.weights
     V = np.zeros((X.shape[1], X.shape[1]))
     for h in np.unique(design.strata):
         in_h = design.strata == h
         psus = np.unique(design.psu[in_h])
-        assert len(psus) >= 2 or certainty_single_psu
+        assert len(psus) >= 2
         raw_terms = []
         cen_terms = []
         for j in psus:
             in_j = in_h & (design.psu == j)
-            if len(psus) < 2:
-                A = X[in_j] * (w[in_j] * r[in_j])[:, None]
-                V += A.T @ A
-                continue
             raw_terms.append(X[in_j].T @ (w[in_j] * r[in_j]))
             cen_terms.append(X[in_j].T @ (w[in_j] * (r[in_j] - r[in_j].mean())))
-        if not raw_terms:
-            continue
         U = np.array(raw_terms)
         C = np.array(cen_terms)
         s = C.sum(axis=0)
@@ -71,6 +64,22 @@ class TestSurveyDesign:
         with pytest.raises(DesignError):
             SurveyDesign(pi=np.array([0.5, 0.5]), weights=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"pi": np.array([np.nan, 0.5])},
+        {"pi": np.array([0.5, 0.5]), "weights": np.array([np.nan, 2.0])},
+        {"pi": np.array([0.5, 0.5]), "weights": np.array([np.inf, 2.0])},
+        {"pi": np.array([0.5, 0.5]), "pop_size": np.nan},
+        {"pi": np.array([0.5, 0.5]), "pop_size": -4.0},
+        {"pi": np.array([0.5, 0.5]), "pop_size": 0.0, "hajek": True},
+        {"pi": np.array([0.5, 0.5]), "pop_size": -1.0, "hajek": True},
+        # raw weights that a negative rescaling would make positive
+        {"pi": np.array([0.5, 0.5]), "weights": np.array([-2.0, -2.0]),
+         "pop_size": 8.0, "hajek": True},
+    ])
+    def test_non_finite_or_non_positive_numbers_rejected(self, kwargs):
+        with pytest.raises(DesignError, match="must"):
+            SurveyDesign(**kwargs)
+
     def test_from_weights(self):
         d = SurveyDesign.from_weights([4.0, 2.0])
         np.testing.assert_allclose(d.pi, [0.25, 0.5])
@@ -82,19 +91,21 @@ class TestSurveyDesign:
 
 
 class TestHtTotal:
+    # the Horvitz-Thompson total of y is design.weights @ y
+
     def test_hand_example(self):
         d = SurveyDesign(pi=np.array([0.5, 0.5]))
-        assert ht_total([1.0, 3.0], d) == pytest.approx(8.0)
+        assert d.weights @ np.array([1.0, 3.0]) == pytest.approx(8.0)
 
     def test_census(self):
         d = SurveyDesign(pi=np.ones(3))
-        assert ht_total([2.0, 2.0, 2.0], d) == pytest.approx(6.0)
+        assert d.weights @ np.array([2.0, 2.0, 2.0]) == pytest.approx(6.0)
 
     def test_design_unbiased_srs_enumeration(self):
         # population {1,2,3,4}, all size-2 samples equally likely, pi = 0.5
         values = np.array([1.0, 2.0, 3.0, 4.0])
         totals = [
-            ht_total(values[list(s)], SurveyDesign(pi=np.array([0.5, 0.5])))
+            SurveyDesign(pi=np.array([0.5, 0.5])).weights @ values[list(s)]
             for s in itertools.combinations(range(4), 2)
         ]
         assert np.mean(totals) == pytest.approx(10.0)
@@ -113,35 +124,32 @@ class TestHtTotal:
         for prob, s in zip(p_s, samples):
             pi[list(s)] += prob
         est = sum(
-            prob * ht_total(values[list(s)], SurveyDesign(pi=pi[list(s)]))
+            prob * (SurveyDesign(pi=pi[list(s)]).weights @ values[list(s)])
             for prob, s in zip(p_s, samples)
         )
         assert est == pytest.approx(values.sum(), abs=1e-10)
 
     def test_length_mismatch(self):
-        with pytest.raises(DesignError):
-            ht_total([1.0], SurveyDesign(pi=np.array([0.5, 0.5])))
+        # weights that do not align with pi never reach a total
+        with pytest.raises(DesignError, match="same length"):
+            SurveyDesign(pi=np.array([0.5, 0.5]), weights=np.array([2.0]))
 
 
-class TestValidateDesign:
-    def test_weight_sum_discrepancy(self):
-        d = SurveyDesign(pi=np.array([0.5, 0.5]), pop_size=4.0)
-        diag = validate_design(d)
-        assert diag.weight_sum == pytest.approx(4.0)
-        assert diag.weight_sum_discrepancy == pytest.approx(0.0)
-
+class TestPsuCells:
     def test_strata_psu_counts(self):
         strata = np.repeat(["a", "b", "c"], 2)
         # unique PSU labels, and labels 1, 2 reused in every stratum
         for psu in (np.arange(6), np.tile([1, 2], 3)):
             d = SurveyDesign(pi=np.full(6, 0.5), strata=strata, psu=psu)
-            diag = validate_design(d)
-            assert (diag.n_strata, diag.n_psu) == (3, 6)
+            cell, stratum_of_cell = psu_cells(d)
+            np.testing.assert_array_equal(cell, np.arange(6))
+            np.testing.assert_array_equal(stratum_of_cell, [0, 0, 1, 1, 2, 2])
 
-    def test_pi_range_reported(self):
-        d = SurveyDesign(pi=np.array([0.2, 0.9]))
-        diag = validate_design(d)
-        assert (diag.pi_min, diag.pi_max) == (0.2, 0.9)
+    def test_no_strata_is_one_stratum(self):
+        d = SurveyDesign(pi=np.full(5, 0.5), psu=np.array([7, 3, 7, 9, 3]))
+        cell, stratum_of_cell = psu_cells(d)
+        np.testing.assert_array_equal(cell, [0, 1, 0, 2, 1])
+        np.testing.assert_array_equal(stratum_of_cell, [0, 0, 0])
 
 
 class TestMeatIndependent:
@@ -236,17 +244,21 @@ class TestMeatStratifiedCluster:
         assert str(exc.value).startswith(f"stratum {labels[0].item()!r} has a single PSU")
         assert "np." not in str(exc.value)
 
-    def test_certainty_single_psu_treated_independent(self):
+    def test_single_psu_without_strata_rejected(self):
+        d = SurveyDesign(pi=np.full(3, 0.5), psu=np.zeros(3, dtype=int))
+        with pytest.raises(DesignError, match=r"^the sample has a single PSU; "):
+            meat_stratified_cluster(np.ones((3, 1)), np.ones(3), d)
+
+    def test_psu_without_strata_is_one_stratum(self):
         rng = np.random.default_rng(8)
-        n = 6
+        n = 12
         X = rng.normal(size=(n, 2))
         r = rng.normal(size=n)
-        d = SurveyDesign(
-            pi=np.full(n, 0.5), strata=np.zeros(n, dtype=int), psu=np.zeros(n, dtype=int)
-        )
-        got = meat_stratified_cluster(X, r, d, certainty_single_psu=True)
-        want = meat_independent(X, r, d)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        pi, psu = rng.uniform(0.2, 1.0, size=n), rng.integers(0, 4, size=n)
+        got = meat_stratified_cluster(X, r, SurveyDesign(pi=pi, psu=psu))
+        want = _loop_meat_stratified_cluster(
+            X, r, SurveyDesign(pi=pi, psu=psu, strata=np.full(n, "all")))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_labels_required(self):
         with pytest.raises(DesignError):
@@ -272,10 +284,10 @@ class TestMeatStratifiedCluster:
         for trial in range(300):
             n_strata = int(rng.integers(1, 5))
             psus_per_stratum = rng.integers(1, 5, size=n_strata)
-            certainty = bool(np.any(psus_per_stratum == 1))
-            if certainty and rng.random() < 0.3:
+            lonely = bool(np.any(psus_per_stratum == 1))
+            if lonely and rng.random() < 0.3:
                 psus_per_stratum[psus_per_stratum == 1] = 2
-                certainty = False
+                lonely = False
             n_psu = int(psus_per_stratum.sum())
             psu_stratum = np.repeat(np.arange(n_strata), psus_per_stratum)
             sizes = rng.integers(1, 5, size=n_psu)  # singleton PSUs included
@@ -295,8 +307,12 @@ class TestMeatStratifiedCluster:
             d = SurveyDesign(pi=rng.uniform(0.1, 1.0, size=n), strata=strata, psu=psu)
             X = rng.normal(size=(n, int(rng.integers(1, 4))))
             r = rng.normal(size=n)
-            got = meat_stratified_cluster(X, r, d, certainty_single_psu=certainty)
-            want = _loop_meat_stratified_cluster(X, r, d, certainty_single_psu=certainty)
+            if lonely:
+                with pytest.raises(DesignError, match="has a single PSU"):
+                    meat_stratified_cluster(X, r, d)
+                continue
+            got = meat_stratified_cluster(X, r, d)
+            want = _loop_meat_stratified_cluster(X, r, d)
             np.testing.assert_allclose(
                 got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1e-300)
             )

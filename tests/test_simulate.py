@@ -9,7 +9,6 @@ from svyerr.simulate import (
     brute_force_optimism,
     draw_sample,
     generate_population,
-    inclusion_probabilities,
     run_optimism_experiment,
     run_relative_error_experiment,
 )
@@ -54,25 +53,6 @@ class TestGeneratePopulation:
             ScenarioSpec(id="s1", pop_size=10, sample_size=10)
 
 
-class TestInclusionProbabilities:
-    def test_proportional_and_sums_to_n(self):
-        m = np.array([1.0, 2.0, 3.0, 4.0])
-        pi = inclusion_probabilities(m, 2)
-        np.testing.assert_allclose(pi, 2.0 * m / m.sum())
-        assert pi.sum() == pytest.approx(2.0)
-
-    def test_clipping_preserves_total(self):
-        m = np.array([100.0, 1.0, 1.0, 1.0, 1.0])
-        with pytest.warns(UserWarning, match="clipped"):
-            pi = inclusion_probabilities(m, 2)
-        assert pi[0] == 1.0
-        assert pi.sum() == pytest.approx(2.0)
-
-    def test_nonpositive_size_rejected(self):
-        with pytest.raises(ValueError):
-            inclusion_probabilities(np.array([1.0, 0.0]), 1)
-
-
 class TestDrawSample:
     def test_uniform_sizes_give_equal_probabilities(self):
         pop = (np.zeros(20), np.zeros(20), np.ones(20))
@@ -88,27 +68,11 @@ class TestDrawSample:
             assert len(idx) == 7
             assert len(np.unique(idx)) == 7
 
-    def test_systematic_inclusion_frequencies_match_pi(self):
-        m = np.arange(1.0, 11.0)
-        pop = (np.zeros(10), np.zeros(10), m)
-        pi = inclusion_probabilities(m, 5)
-        counts = np.zeros(10)
-        draws = 20000
-        for seed in range(draws):
-            idx, _ = draw_sample(pop, 5, seed=seed)
-            counts[idx] += 1
-        np.testing.assert_allclose(counts / draws, pi, atol=0.01)
-
     def test_pps_draw_nominal_probabilities(self):
         m = np.arange(1.0, 11.0)
         pop = (np.zeros(10), np.zeros(10), m)
-        idx, design = draw_sample(pop, 3, seed=1, method="pps_draw")
+        idx, design = draw_sample(pop, 3, seed=1)
         np.testing.assert_allclose(design.pi, np.minimum(1.0, 3.0 * m[idx] / m.sum()))
-
-    def test_unknown_method_rejected(self):
-        pop = (np.zeros(5), np.zeros(5), np.ones(5))
-        with pytest.raises(ValueError):
-            draw_sample(pop, 2, seed=0, method="poisson")
 
     def test_deterministic(self):
         pop = (np.zeros(40), np.zeros(40), np.linspace(1, 2, 40))
@@ -161,10 +125,27 @@ class TestRunRelativeErrorExperiment:
         assert row["reps"] == 5
         assert row["ratio"] == pytest.approx(row["rel_err_hte"] / row["rel_err_aic"])
 
-    def test_prevalence_sweep_runs(self):
-        from svyerr.families import FamilyKind
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # no SE from one rep
+    def test_monte_carlo_standard_errors(self):
+        # rep r draws from the stream (seed, cell, r), so the per-rep errors
+        # are recovered from the running means over 1, 2, ..., reps reps
+        cc = CaseControlSpec(sample_size=100, prevalence=0.05)
+        reps = 6
+        means = []
+        for k in range(1, reps + 1):
+            (row,) = run_relative_error_experiment(cc, {"sample_size": [100]}, reps=k, seed=3)
+            assert row["reps"] == k
+            means.append([row["rel_err_hte"], row["rel_err_aic"]])
+        means = np.array(means)
+        sums = np.arange(1, reps + 1)[:, None] * means
+        hte, aic = np.diff(sums, axis=0, prepend=0.0).T
+        se = lambda v: v.std(ddof=1) / np.sqrt(reps)
+        assert row["mc_se_hte"] == pytest.approx(se(hte), rel=1e-9)
+        assert row["mc_se_aic"] == pytest.approx(se(aic), rel=1e-9)
+        assert row["mc_se_diff"] == pytest.approx(se(hte - aic), rel=1e-9)
 
-        cc = CaseControlSpec(sample_size=150, family_kind=FamilyKind.GAUSSIAN)
+    def test_prevalence_sweep_runs(self):
+        cc = CaseControlSpec(sample_size=150)
         rows = run_relative_error_experiment(
             cc, {"prevalence": [0.02, 0.1]}, reps=3, seed=1
         )
