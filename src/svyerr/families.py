@@ -166,6 +166,10 @@ def _unit_deviance(family: Family, y, mu):
     if family.kind is FamilyKind.GAUSSIAN:
         return (y - mu) ** 2 / family.dispersion
     if family.kind is FamilyKind.BERNOULLI:
+        if np.all((y == 0.0) | (y == 1.0)):
+            # y log y and (1-y) log(1-y) vanish for 0/1 outcomes; 0.0 - a keeps
+            # the sign of a zero deviance that the four-term sum gives
+            return 2.0 * (0.0 - _xlogy(y, mu) - _xlogy(1.0 - y, 1.0 - mu))
         return 2.0 * (
             _xlogy(y, y) - _xlogy(y, mu)
             + _xlogy(1.0 - y, 1.0 - y) - _xlogy(1.0 - y, 1.0 - mu)

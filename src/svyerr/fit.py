@@ -35,9 +35,12 @@ __all__ = [
 
 
 # IRLS stops when max |score| <= TOL_SCORE * score scale, or fails after
-# MAX_ITER iterations; sandwich_variance warns when cond(J) > COND_LIMIT
+# MAX_ITER iterations, and solves in an orthonormal basis when the design's
+# pivoted R spans more than COND_BASIS; sandwich_variance warns when
+# cond(J) > COND_LIMIT
 TOL_SCORE = 1e-8
 MAX_ITER = 100
+COND_BASIS = 1e4
 COND_LIMIT = 1e12
 
 
@@ -88,19 +91,32 @@ class SandwichVariance:
         return float(np.trace(self.J @ self.V))
 
 
-def _check_rank(X, w) -> None:
-    """Raise FitError when sqrt(W) X is numerically rank deficient.
+def _solve_basis(X, w) -> tuple[np.ndarray, np.ndarray | None]:
+    """Basis B = X M for the IRLS normal equations, and M (None for B = X).
 
-    One pivoted QR before the iterations: the IRLS weights w * v only
-    rescale rows by positive factors, so the rank is decided by X and w.
+    One pivoted QR before the iterations, sqrt(W) X P = Q R, raises
+    FitError when sqrt(W) X is numerically rank deficient.  The IRLS
+    weights w * v only rescale rows by positive factors, so the rank and
+    the conditioning are decided by X and w.  Normal equations square the
+    condition of sqrt(W) X: when R's diagonal spans more than COND_BASIS
+    they are solved in B = Q / sqrt(w), M = P R^-1, whose normal matrix is
+    conditioned like v alone (B is read off Q, not multiplied out, so it
+    keeps Q's accuracy), and the solution maps back through M.
     """
-    A = X * np.sqrt(w)[:, None]
+    sw = np.sqrt(w)
+    A = X * sw[:, None]
     _, r, piv = sla.qr(A, mode="raw", pivoting=True)  # no Q, and R only (p, p)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(A.shape) * np.finfo(float).eps if diag.size else 0.0
     if np.any(diag <= tol):
         bad = int(piv[int(np.argmax(diag <= tol))])
         raise FitError(f"design matrix is rank deficient (column {bad})")
+    if not diag.size or diag[0] <= COND_BASIS * diag[-1]:
+        return X, None
+    q, r, piv = sla.qr(A, mode="economic", pivoting=True)
+    M = np.empty_like(r)
+    M[piv] = sla.solve_triangular(r, np.eye(len(r)))
+    return q / sw[:, None], M
 
 
 def _solve_rows(A, b):
@@ -154,11 +170,11 @@ def irls(X, Y, family: Family, design: SurveyDesign) -> IrlsBlock:
     Only a rank-deficient design raises.
     """
     X = np.asarray(X, dtype=float)
-    Xt = np.ascontiguousarray(X.T)  # contiguous rows make the stacked products fast
     Y = np.asarray(Y, dtype=float)
     (m, n), p = Y.shape, X.shape[1]
     w = design.weights
-    _check_rank(X, w)
+    B, M = _solve_basis(X, w)
+    Bt = np.ascontiguousarray(B.T)  # contiguous rows make the stacked products fast
     deviance = fam.Loss(fam.LossKind.DEVIANCE, family)
     out = IrlsBlock(
         theta=np.full((m, p), np.nan), mu=np.full((m, n), np.nan), lam=np.full((m, n), np.nan),
@@ -187,7 +203,10 @@ def irls(X, Y, family: Family, design: SurveyDesign) -> IrlsBlock:
                 ok, "degenerate fit: zero model variance at a fitted point")
             v = v[ok]
         wv = w * v
-        theta_new = _solve_rows((Xt * wv[:, None, :]) @ Xt.T, (wv * (lam + (y - mu) / v)) @ X)
+        z = lam + (y - mu) / v
+        theta_new = _solve_rows((Bt * wv[:, None, :]) @ Bt.T, (wv * z) @ B)
+        if M is not None:
+            theta_new = theta_new @ M.T
         ok = np.all(np.isfinite(theta_new), axis=1)
         if not ok.all():
             rows, y, scale, theta, mu, lam, dev = leave(ok, "weighted normal equations are singular")

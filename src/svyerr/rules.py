@@ -8,11 +8,12 @@ the vote to the +-1 penalty parameter of the 0-1 loss.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import sparse, spatial
 
 from . import families as fam
 from . import penalty as pen
@@ -46,13 +47,16 @@ def _standardize_params(X, weights):
     return center, scale, np.flatnonzero(kept)
 
 
+def _check_k(k, n) -> None:
+    if k < 1 or k > n:
+        raise ValueError(f"k must lie in [1, n={n}], got {k}")
+
+
 def knn_train(X, y, design: SurveyDesign, k: int) -> KnnModel:
     """Store standardized covariates and outcomes; kNN has no fitting step."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    if k < 1 or k > n:
-        raise ValueError(f"k must lie in [1, n={n}], got {k}")
+    _check_k(k, X.shape[0])
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("kNN classification requires a binary 0/1 outcome")
     center, scale, kept = _standardize_params(X, design.weights)
@@ -63,37 +67,78 @@ def knn_train(X, y, design: SurveyDesign, k: int) -> KnnModel:
     )
 
 
-def _neighbour_weights(model: KnnModel, Z_query) -> sparse.csr_array:
-    """Survey weights of each query row's neighbour set, as a (query, training) matrix.
+def _squared_distances(Z_query, Z, rows, cols):
+    """Exact squared distances between Z_query[rows] and Z[cols], summed column by column."""
+    d2 = np.zeros(np.broadcast_shapes(np.shape(rows), np.shape(cols)))
+    for c in range(Z.shape[1]):
+        d2 += (Z_query[rows, c] - Z[cols, c]) ** 2
+    return d2
 
-    The set holds the k nearest training points; ties at the k-th distance
-    expand it, so permuting the training rows leaves predictions unchanged
-    and every vote is (W @ y) / W.sum(axis=1).
+
+def _neighbour_weights(Z, weights, k_list, Z_query=None) -> dict[int, sparse.csr_array]:
+    """Survey weights of each query row's neighbour set: one (query, training) matrix per k.
+
+    The set holds the k nearest training rows of Z to each row of
+    ``Z_query`` (Z itself by default); ties at the k-th distance expand it,
+    so permuting the training rows leaves predictions unchanged and every
+    vote is (W @ y) / W.sum(axis=1).
+
+    One k-d tree query for the k_max + 1 nearest candidates serves every
+    k.  The tie threshold kth + 1e-12 (1 + kth) comes from exact squared
+    distances, not the tree's.  A row whose farthest candidate lies
+    clearly beyond it is decided by its candidates; the remaining rows,
+    whose ties may reach past the candidates, share one radius query
+    filtered by the same exact distances.  Column indices come out sorted.
     """
-    d2 = np.zeros((Z_query.shape[0], model.X.shape[0]))
-    for c in range(model.X.shape[1]):  # no (query, training, column) temporary
-        d2 += (Z_query[:, None, c] - model.X[None, :, c]) ** 2
-    kth = np.partition(d2, model.k - 1, axis=1)[:, model.k - 1]
-    rows, cols = np.nonzero(d2 <= (kth + 1e-12 * (1.0 + kth))[:, None])
-    return sparse.csr_array((model.weights[cols], (rows, cols)), shape=d2.shape)
+    Zq = Z if Z_query is None else Z_query
+    (n, p), q = Z.shape, Zq.shape[0]
+    if p == 0:  # no coordinates left: all distances are 0, so all n points tie
+        full = sparse.csr_array(
+            (np.tile(weights, q), np.tile(np.arange(n), q), np.arange(0, q * n + 1, n)),
+            shape=(q, n),
+        )
+        return {k: full for k in k_list}
+    tree = spatial.cKDTree(Z)
+    K = min(max(k_list, default=0) + 1, n)
+    _, cand = tree.query(Zq, k=np.arange(1, K + 1))
+    d2 = _squared_distances(Zq, Z, np.arange(q)[:, None], cand)
+    d2_sorted = np.sort(d2, axis=1)
+    out = {}
+    for k in k_list:
+        kth = d2_sorted[:, k - 1]
+        thr = kth + 1e-12 * (1.0 + kth)
+        # 1e-9 covers the tree's own rounding of the distances it ranks by
+        decided = (K == n) | (d2_sorted[:, -1] > thr * (1.0 + 1e-9))
+        rows, j = np.nonzero((d2 <= thr[:, None]) & decided[:, None])
+        cols = cand[rows, j]
+        tied = np.flatnonzero(~decided)
+        if tied.size:
+            hits = tree.query_ball_point(Zq[tied], np.sqrt(thr[tied]) * (1.0 + 1e-9))
+            counts = np.fromiter(map(len, hits), dtype=np.intp, count=tied.size)
+            t_rows = np.repeat(tied, counts)
+            t_cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp,
+                                 count=int(counts.sum()))
+            keep = _squared_distances(Zq, Z, t_rows, t_cols) <= thr[t_rows]
+            rows = np.concatenate([rows, t_rows[keep]])
+            cols = np.concatenate([cols, t_cols[keep]])
+        key = np.sort(rows * n + cols)  # row-major, columns ascending
+        cols = key % n
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(key // n, minlength=q))])
+        out[k] = sparse.csr_array((weights[cols], cols, indptr), shape=(q, n))
+    return out
 
 
 def knn_predict(model: KnnModel, X_new) -> np.ndarray:
     """Weight-proportional class-1 vote of the k nearest neighbours."""
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
     kc = model.kept_columns
-    W = _neighbour_weights(model, (X_new[:, kc] - model.center[kc]) / model.scale[kc])
+    Z_new = (X_new[:, kc] - model.center[kc]) / model.scale[kc]
+    W = _neighbour_weights(model.X, model.weights, [model.k], Z_new)[model.k]
     return (W @ model.y) / W.sum(axis=1)
 
 
-def knn_rule(X, design: SurveyDesign, k: int) -> pen.PredictionRule:
-    """In-sample kNN as a bootstrap-ready prediction rule.
-
-    The neighbour structure depends only on X, so it is computed once and
-    reused when the bootstrap retrains on blocks of resampled outcome rows.
-    """
-    probe = knn_train(X, np.zeros(len(X)), design, k)
-    W = _neighbour_weights(probe, probe.X)
+def _vote_rule(W: sparse.csr_array) -> pen.PredictionRule:
+    """The in-sample vote through neighbour weights W, as a prediction rule."""
     wsums = W.sum(axis=1)
     loss = Loss(LossKind.ZERO_ONE)
 
@@ -104,6 +149,16 @@ def knn_rule(X, design: SurveyDesign, k: int) -> pen.PredictionRule:
     return train
 
 
+def knn_rule(X, design: SurveyDesign, k: int) -> pen.PredictionRule:
+    """In-sample kNN as a bootstrap-ready prediction rule.
+
+    The neighbour structure depends only on X, so it is computed once and
+    reused when the bootstrap retrains on blocks of resampled outcome rows.
+    """
+    probe = knn_train(X, np.zeros(len(X)), design, k)
+    return _vote_rule(_neighbour_weights(probe.X, probe.weights, [k])[k])
+
+
 def knn_error_report(
     X, y, design: SurveyDesign, k_list, B: int, seed: int
 ) -> list[tuple[int, pen.PenaltyReport]]:
@@ -111,13 +166,18 @@ def knn_error_report(
 
     One weighted logistic fit generates the bootstrap outcomes for every k;
     it needs an intercept the distance-based rule itself does not carry.
+    One neighbour query serves every k.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     gen = fit_weighted_glm(
         np.column_stack([np.ones(X.shape[0]), X]), y, Family(FamilyKind.BERNOULLI), design
     )
+    for k in k_list:
+        _check_k(k, X.shape[0])
+    probe = knn_train(X, np.zeros(len(X)), design, max(k_list, default=1))
+    W = _neighbour_weights(probe.X, probe.weights, k_list)
     loss = Loss(LossKind.ZERO_ONE)
     return [
-        (int(k), pen.hte_bootstrap(knn_rule(X, design, k), X, gen, B=B, seed=seed, loss=loss))
+        (int(k), pen.hte_bootstrap(_vote_rule(W[k]), X, gen, B=B, seed=seed, loss=loss))
         for k in k_list
     ]

@@ -20,7 +20,7 @@ from svyerr.penalty import (
     hte_analytic,
     hte_bootstrap,
 )
-from svyerr.rules import knn_error_report
+from svyerr.rules import _neighbour_weights, knn_error_report, knn_train
 from svyerr.simulate import (
     CaseControlSpec,
     ScenarioSpec,
@@ -28,6 +28,7 @@ from svyerr.simulate import (
     run_optimism_experiment,
     run_relative_error_experiment,
 )
+from test_rules import _dense_neighbour_weights
 
 GAUSS = Family(FamilyKind.GAUSSIAN)
 BERN = Family(FamilyKind.BERNOULLI)
@@ -239,7 +240,8 @@ def test_criterion_10_outperforms_naive_criterion_for_small_oversampled_studies(
 
 
 def test_criterion_11_knn_error_table_shape():
-    ok_seeds = 0
+    ok_seeds = same_sets = 0
+    k_list = [10, 20, 30, 40]
     for seed in range(20):
         rng = np.random.default_rng([77, seed])
         n = 2_000
@@ -247,17 +249,26 @@ def test_criterion_11_knn_error_table_shape():
         prob = 1.0 / (1.0 + np.exp(-0.3 * (0.2 + X[:, 0] + X[:, 1])))
         y = (rng.random(n) < prob).astype(float)
         design = SurveyDesign(pi=rng.uniform(0.1, 1.0, size=n))
-        reports = knn_error_report(X, y, design, [10, 20, 30, 40], B=100, seed=seed)
+        reports = knn_error_report(X, y, design, k_list, B=100, seed=seed)
         errs = [r.err_weighted for _, r in reports]
         omegas = [r.omega_hat for _, r in reports]
         inc = all(a <= b + 1e-12 for a, b in zip(errs, errs[1:]))
         dec = all(a >= b - 1e-12 for a, b in zip(omegas, omegas[1:]))
         ok_seeds += inc and dec
+        # the tree's neighbour matrices are the dense build's, entry for entry
+        Z = knn_train(X, y, design, max(k_list)).X
+        W = _neighbour_weights(Z, design.weights, k_list)
+        dense = [_dense_neighbour_weights(Z, design.weights, k, Z) for k in k_list]
+        same_sets += all(
+            np.array_equal(W[k].indptr, D.indptr) and np.array_equal(W[k].indices, D.indices)
+            and np.array_equal(W[k].data, D.data)
+            for k, D in zip(k_list, dense)
+        )
     _verdict(
         11,
         "kNN error rises and optimism falls with neighbour count",
-        ok_seeds >= 16,
-        f"{ok_seeds}/20 seeds monotone",
+        ok_seeds >= 16 and same_sets == 20,
+        f"{ok_seeds}/20 seeds monotone; neighbour matrices equal the dense build on {same_sets}/20",
     )
 
 

@@ -168,6 +168,21 @@ class TestLossQ:
         assert loss_q(dev, 0.0, 0.0) == pytest.approx(0.0)
         assert loss_q(dev, 1.0, 1.0) == pytest.approx(0.0)
 
+    def test_binary_bernoulli_deviance_bit_identical_to_four_terms(self):
+        # the 0/1 path drops y log y and (1-y) log(1-y); it must give the
+        # four-term sum's bits, signed zeros and infinities included
+        rng = np.random.default_rng(15)
+        mu = np.concatenate([rng.uniform(size=400), [0.0, 1.0, 0.0, 1.0, 1e-300, 1 - 1e-16]])
+        y = np.concatenate([(rng.random(400) < 0.5).astype(float), [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]])
+        with np.errstate(divide="ignore"):
+            four = 2.0 * (special.xlogy(y, y) - special.xlogy(y, mu)
+                          + special.xlogy(1.0 - y, 1.0 - y) - special.xlogy(1.0 - y, 1.0 - mu))
+        got = np.asarray(loss_q(Loss(LossKind.DEVIANCE, BERN), y, mu))
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in four]
+        Y = np.stack([y, 1.0 - y])  # a block of outcome rows takes the same path
+        got = np.asarray(loss_q(Loss(LossKind.DEVIANCE, BERN), Y, mu))
+        assert [float.hex(v) for v in got[0]] == [float.hex(v) for v in four]
+
     def test_zero_one(self):
         zo = Loss(LossKind.ZERO_ONE)
         assert loss_q(zo, 1.0, 0.4) == 1.0

@@ -127,6 +127,38 @@ class TestIrlsCore:
         np.testing.assert_array_equal(f.mu, block.mu[0])
         assert f.iterations == block.iterations[0]
 
+    def test_near_collinear_covariates_fit_like_the_qr_oracle(self):
+        # x next to x + 1e-8 noise: the normal equations of X itself are
+        # singular to working precision, those of the QR basis are not
+        rng = np.random.default_rng(0)
+        n = 2_000
+        x = rng.normal(size=n)
+        X = np.column_stack([np.ones(n), x, x + 1e-8 * rng.normal(size=n)])
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.3 + x)))).astype(float)
+        d = SurveyDesign(pi=rng.uniform(0.1, 1.0, size=n))
+        _, mu, iterations = _serial_irls(X, y, BERN, d)
+        f = fit_weighted_glm(X, y, BERN, d)
+        assert f.iterations == iterations == 4
+        # |theta| is about 2e7, so X @ theta rounds to ~1e-8 in either fit:
+        # the oracle's own mu lies 2.9e-8 (relative) from an 80-bit refit
+        np.testing.assert_allclose(f.mu, mu, rtol=5e-8, atol=0)
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_solve_basis_only_for_ill_conditioned_designs(self, kind):
+        # a covariate of scale 1e8 takes the QR basis and still fits as the
+        # oracle does; the same design unscaled keeps the normal equations of X
+        family = Family(kind)
+        X, Y, d = _outcome_block(family, seed=11, m=4)
+        assert fit_mod._solve_basis(X, d.weights)[1] is None
+        X_big = X * np.array([1.0, 1e8, 1.0])
+        assert fit_mod._solve_basis(X_big, d.weights)[1] is not None
+        block = irls(X_big, Y, family, d)
+        for i, y in enumerate(Y):
+            theta, mu, iterations = _serial_irls(X_big, y, family, d)
+            np.testing.assert_allclose(block.theta[i], theta, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(block.mu[i], mu, rtol=1e-10, atol=0)
+            assert block.iterations[i] == iterations
+
     def test_singular_system_is_a_nan_row_not_a_failed_block(self):
         A = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
         got = fit_mod._solve_rows(A, np.ones((3, 2)))

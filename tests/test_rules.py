@@ -1,7 +1,10 @@
 """Design-weighted kNN classification and its bootstrap error table."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from svyerr.design import SurveyDesign
 from svyerr.rules import _neighbour_weights, knn_error_report, knn_predict, knn_rule, knn_train
@@ -31,6 +34,26 @@ def _loop_neighbour_sets(model, Z_query):
     return out
 
 
+def _dense_neighbour_weights(Z, weights, k, Z_query):
+    """Reference neighbour weights from the full (query, training) squared-distance matrix.
+
+    The k-th smallest squared distance of each row sets the tie threshold
+    kth + 1e-12 (1 + kth), as in the library; memory is O(query x training).
+    """
+    d2 = np.zeros((Z_query.shape[0], Z.shape[0]))
+    for c in range(Z.shape[1]):  # no (query, training, column) temporary
+        d2 += (Z_query[:, None, c] - Z[None, :, c]) ** 2
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(d2 <= (kth + 1e-12 * (1.0 + kth))[:, None])
+    return sparse.csr_array((weights[cols], (rows, cols)), shape=d2.shape)
+
+
+def _assert_same_csr(got, want):
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
 def _neighbour_case(kind, n=40):
     """Training data and queries: tie-heavy grid, continuous, or off-sample queries."""
     rng = np.random.default_rng(["integer_grid", "continuous", "off_training"].index(kind))
@@ -55,7 +78,7 @@ def test_neighbour_weights_match_loop_oracle(kind, k):
         ((query[:, kc] - model.center[kc]) / model.scale[kc], knn_predict(model, query)),
     )
     for Z, votes in paths:
-        W = _neighbour_weights(model, Z)
+        W = _neighbour_weights(model.X, model.weights, [k], Z)[k]
         sets = _loop_neighbour_sets(model, Z)
         for i, idx in enumerate(sets):
             cols = W.indices[W.indptr[i]:W.indptr[i + 1]]
@@ -65,6 +88,75 @@ def test_neighbour_weights_match_loop_oracle(kind, k):
         np.testing.assert_allclose(votes, want, rtol=0, atol=1e-12)
         if kind == "integer_grid" and k < len(y):
             assert any(len(idx) > k for idx in sets)  # ties expanded some sets
+
+
+TREE_CASES = ("continuous", "integer_grid", "duplicate_rows",
+              "one_column", "one_column_grid", "zero_columns")
+
+
+def _tree_case(kind, rng):
+    """Training covariates and off-sample queries for the tree-versus-dense comparison."""
+    if kind == "continuous":
+        X = rng.normal(size=(120, 3))
+        return X, 2.0 * rng.normal(size=(25, 3)) + 0.3
+    if kind == "integer_grid":  # ~5 copies of each of 25 grid points
+        X = rng.integers(0, 5, size=(120, 2)).astype(float)
+        return X, rng.integers(0, 9, size=(25, 2)) / 2.0
+    if kind == "duplicate_rows":
+        X = rng.normal(size=(80, 2))
+        query = np.concatenate([X[:10], rng.normal(size=(15, 2))])
+        return np.concatenate([X, X[:40], X[:10]]), query
+    if kind == "one_column":
+        return rng.normal(size=(120, 1)), rng.normal(size=(25, 1))
+    if kind == "one_column_grid":
+        X = rng.integers(0, 4, size=(120, 1)).astype(float)
+        return X, rng.integers(0, 7, size=(25, 1)) / 2.0
+    X = np.zeros((120, 2))  # zero_columns: every column has zero variance
+    return X, rng.normal(size=(25, 2))
+
+
+@pytest.mark.parametrize("k_list", [[1, 7, 30], [1, 119], [1, 120], [60, 120]])
+@pytest.mark.parametrize("kind", TREE_CASES)
+@pytest.mark.filterwarnings("ignore:dropping")
+def test_tree_neighbour_weights_equal_dense_oracle(kind, k_list):
+    # k_list [1, 119] queries all n candidates (k_max + 1 = n); [1, 120] asks for n + 1
+    rng = np.random.default_rng(TREE_CASES.index(kind))
+    X, query = _tree_case(kind, rng)
+    n = len(X)
+    d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n))
+    model = knn_train(X, (rng.random(n) < 0.5).astype(float), d, max(k_list))
+    kept = {"one_column": 1, "one_column_grid": 1, "zero_columns": 0}.get(kind, X.shape[1])
+    assert model.X.shape[1] == kept
+    kc = model.kept_columns
+    Z_query = (query[:, kc] - model.center[kc]) / model.scale[kc]
+    for Zq in (None, Z_query):
+        W = _neighbour_weights(model.X, model.weights, k_list, Zq)
+        assert list(W) == k_list
+        for k in k_list:
+            _assert_same_csr(W[k], _dense_neighbour_weights(
+                model.X, model.weights, k, model.X if Zq is None else Zq))
+    for k in k_list:  # knn_predict and knn_rule reach the same matrices
+        m = knn_train(X, model.y, d, k)
+        want = _dense_neighbour_weights(model.X, model.weights, k, Z_query)
+        np.testing.assert_array_equal(knn_predict(m, query), (want @ m.y) / want.sum(axis=1))
+        want = _dense_neighbour_weights(model.X, model.weights, k, model.X)
+        np.testing.assert_array_equal(knn_rule(X, d, k)(X, m.y[None], d).mu[0],
+                                      (want @ m.y) / want.sum(axis=1))
+
+
+def test_knn_rule_memory_is_not_quadratic():
+    # one dense n x n squared-distance matrix at n = 5,000 needs 190 MiB
+    rng = np.random.default_rng(14)
+    n = 5_000
+    X = rng.normal(size=(n, 2))
+    d = SurveyDesign(pi=rng.uniform(0.1, 1.0, size=n))
+    tracemalloc.start()
+    try:
+        knn_rule(X, d, k=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 class TestKnnTrain:
@@ -205,7 +297,8 @@ class TestKnnRule:
         Y = (rng.random((37, 60)) < 0.5).astype(float)
         rule = knn_rule(X, d, k=9)
         fit = rule(X, Y, d)
-        W = _neighbour_weights(knn_train(X, Y[0], d, k=9), knn_train(X, Y[0], d, k=9).X)
+        model = knn_train(X, Y[0], d, k=9)
+        W = _neighbour_weights(model.X, model.weights, [9])[9]
         want = np.stack([(W @ y) / W.sum(axis=1) for y in Y])
         np.testing.assert_array_equal(fit.mu, want)
         np.testing.assert_array_equal(fit.lam, np.where(want < 0.5, -1.0, 1.0))
@@ -229,6 +322,11 @@ class TestKnnErrorReport:
         d = SurveyDesign(pi=rng.uniform(0.4, 1.0, size=n))
         [(k, report)] = knn_error_report(X, y, d, [n], B=400, seed=1)
         assert abs(report.omega_hat) < 0.02
+
+    def test_empty_k_list_gives_empty_table(self):
+        rng = np.random.default_rng(16)
+        X, y, d = _binary_data(rng, n=30)
+        assert knn_error_report(X, y, d, [], B=5, seed=0) == []
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
