@@ -35,12 +35,9 @@ __all__ = [
 
 
 # IRLS stops when max |score| <= TOL_SCORE * score scale, or fails after
-# MAX_ITER iterations, and solves in an orthonormal basis when the design's
-# pivoted R spans more than COND_BASIS; sandwich_variance warns when
-# cond(J) > COND_LIMIT
+# MAX_ITER iterations; sandwich_variance warns when cond(J) > COND_LIMIT
 TOL_SCORE = 1e-8
 MAX_ITER = 100
-COND_BASIS = 1e4
 COND_LIMIT = 1e12
 
 
@@ -91,32 +88,30 @@ class SandwichVariance:
         return float(np.trace(self.J @ self.V))
 
 
-def _solve_basis(X, w) -> tuple[np.ndarray, np.ndarray | None]:
-    """Basis B = X M for the IRLS normal equations, and M (None for B = X).
+def _solve_basis(X, w) -> tuple[np.ndarray, np.ndarray]:
+    """W-orthonormal basis B = X M for the IRLS normal equations, as (B', M).
 
     One pivoted QR before the iterations, sqrt(W) X P = Q R, raises
     FitError when sqrt(W) X is numerically rank deficient.  The IRLS
     weights w * v only rescale rows by positive factors, so the rank and
-    the conditioning are decided by X and w.  Normal equations square the
-    condition of sqrt(W) X: when R's diagonal spans more than COND_BASIS
-    they are solved in B = Q / sqrt(w), M = P R^-1, whose normal matrix is
-    conditioned like v alone (B is read off Q, not multiplied out, so it
-    keeps Q's accuracy), and the solution maps back through M.
+    the conditioning are decided by X and w.  Normal equations in X square
+    the condition of sqrt(W) X and fail on near-collinear covariates; in
+    B = Q / sqrt(w), M = P R^-1 the normal matrix B' W V B = Q' V Q is
+    conditioned like v alone.  B is read off Q, not multiplied out, so it
+    keeps Q's accuracy, and a solution beta maps back as theta = M beta.
     """
     sw = np.sqrt(w)
-    A = X * sw[:, None]
-    _, r, piv = sla.qr(A, mode="raw", pivoting=True)  # no Q, and R only (p, p)
+    A = np.multiply(X, sw[:, None], order="F")  # the QR overwrites it with Q in place
+    q, r, piv = sla.qr(A, overwrite_a=True, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(A.shape) * np.finfo(float).eps if diag.size else 0.0
     if np.any(diag <= tol):
         bad = int(piv[int(np.argmax(diag <= tol))])
         raise FitError(f"design matrix is rank deficient (column {bad})")
-    if not diag.size or diag[0] <= COND_BASIS * diag[-1]:
-        return X, None
-    q, r, piv = sla.qr(A, mode="economic", pivoting=True)
+    q /= sw[:, None]
     M = np.empty_like(r)
     M[piv] = sla.solve_triangular(r, np.eye(len(r)))
-    return q / sw[:, None], M
+    return np.ascontiguousarray(q.T), M  # contiguous rows make the stacked products fast
 
 
 def _solve_rows(A, b):
@@ -173,8 +168,7 @@ def irls(X, Y, family: Family, design: SurveyDesign) -> IrlsBlock:
     Y = np.asarray(Y, dtype=float)
     (m, n), p = Y.shape, X.shape[1]
     w = design.weights
-    B, M = _solve_basis(X, w)
-    Bt = np.ascontiguousarray(B.T)  # contiguous rows make the stacked products fast
+    Bt, M = _solve_basis(X, w)
     deviance = fam.Loss(fam.LossKind.DEVIANCE, family)
     out = IrlsBlock(
         theta=np.full((m, p), np.nan), mu=np.full((m, n), np.nan), lam=np.full((m, n), np.nan),
@@ -203,10 +197,7 @@ def irls(X, Y, family: Family, design: SurveyDesign) -> IrlsBlock:
                 ok, "degenerate fit: zero model variance at a fitted point")
             v = v[ok]
         wv = w * v
-        z = lam + (y - mu) / v
-        theta_new = _solve_rows((Bt * wv[:, None, :]) @ Bt.T, (wv * z) @ B)
-        if M is not None:
-            theta_new = theta_new @ M.T
+        theta_new = _solve_rows((Bt * wv[:, None, :]) @ Bt.T, (wv * (lam + (y - mu) / v)) @ Bt.T) @ M.T
         ok = np.all(np.isfinite(theta_new), axis=1)
         if not ok.all():
             rows, y, scale, theta, mu, lam, dev = leave(ok, "weighted normal equations are singular")

@@ -8,7 +8,6 @@ results are reproducible regardless of execution order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -106,14 +105,6 @@ class CaseControlSpec:
                 raise ValueError("fractions must lie in (0, 1)")
 
 
-@functools.lru_cache(maxsize=4)
-def _log_index(N: int) -> np.ndarray:
-    """log(i + 1) for i = 1..N, shared read-only by every replicate of size N."""
-    out = np.log(np.arange(1, N + 1) + 1.0)
-    out.flags.writeable = False
-    return out
-
-
 def generate_population(spec: ScenarioSpec, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw (X_N, y_N, raw size measure) for one scenario.
 
@@ -132,11 +123,11 @@ def generate_population(spec: ScenarioSpec, seed) -> tuple[np.ndarray, np.ndarra
     elif sid == "s1":
         y = x + rng.normal(size=N)
     elif sid == "s3":
-        y = x + rng.normal(size=N) * _log_index(N)
+        y = x + rng.normal(size=N) * np.log(np.arange(1, N + 1) + 1.0)
     else:  # s2_gauss, s4a_gauss, s4b_gauss
         y = x + rng.normal(size=N) * np.abs(x)
     if sid in ("s1", "s2_gauss", "s2_bern", "s3"):
-        size = _log_index(N)
+        size = np.log(np.arange(1, N + 1) + 1.0)
     elif sid.startswith("s4a"):
         size = np.abs(x)
         size = np.maximum(size, 1e-12)

@@ -144,14 +144,15 @@ class TestIrlsCore:
         np.testing.assert_allclose(f.mu, mu, rtol=5e-8, atol=0)
 
     @pytest.mark.parametrize("kind", list(FamilyKind))
-    def test_solve_basis_only_for_ill_conditioned_designs(self, kind):
-        # a covariate of scale 1e8 takes the QR basis and still fits as the
-        # oracle does; the same design unscaled keeps the normal equations of X
+    def test_badly_scaled_covariate_fits_like_the_qr_oracle(self, kind):
+        # a covariate of scale 1e8 puts 1e8 between R's diagonal entries;
+        # the basis is W-orthonormal and the fit matches the oracle's path
         family = Family(kind)
         X, Y, d = _outcome_block(family, seed=11, m=4)
-        assert fit_mod._solve_basis(X, d.weights)[1] is None
         X_big = X * np.array([1.0, 1e8, 1.0])
-        assert fit_mod._solve_basis(X_big, d.weights)[1] is not None
+        Bt, M = fit_mod._solve_basis(X_big, d.weights)
+        np.testing.assert_allclose((Bt * d.weights) @ Bt.T, np.eye(3), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(X_big @ M, Bt.T, rtol=0, atol=1e-12)
         block = irls(X_big, Y, family, d)
         for i, y in enumerate(Y):
             theta, mu, iterations = _serial_irls(X_big, y, family, d)

@@ -20,18 +20,6 @@ class TestGeneratePopulation:
         _, _, size = generate_population(spec, seed=0)
         np.testing.assert_allclose(size, np.log(np.arange(2, 1002)))
 
-    def test_index_size_measure_shared_read_only(self):
-        # replicates share one cached log(i + 1) array; s3 also scales its noise by it
-        spec = ScenarioSpec(id="s3", pop_size=1000, sample_size=10)
-        x, y, size = generate_population(spec, seed=[4, 0, 0])
-        _, _, again = generate_population(spec, seed=[4, 1, 0])
-        assert again is size and not size.flags.writeable
-        want = np.log(np.arange(1, 1001) + 1.0)
-        np.testing.assert_array_equal(size, want)
-        rng = np.random.default_rng([4, 0, 0])
-        np.testing.assert_array_equal(x, rng.normal(size=1000))
-        np.testing.assert_array_equal(y, x + rng.normal(size=1000) * want)
-
     def test_inverse_size_capped(self):
         spec = ScenarioSpec(id="s4b_gauss", pop_size=5000, sample_size=10)
         x, _, size = generate_population(spec, seed=0)
