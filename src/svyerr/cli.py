@@ -51,7 +51,7 @@ def load_dataset(
     """Read an RFC-4180 CSV into (X, y, design), rejecting rows with gaps."""
     if (weight_col is None) == (pi_col is None):
         raise SchemaError("exactly one of a weight column or a pi column is required")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SchemaError("CSV file has no header row")
@@ -127,8 +127,12 @@ def write_json(path: str, obj) -> None:
 # --------------------------------------------------------------------- #
 
 
-def _family_from_name(name: str) -> Family:
-    return Family(FamilyKind(name))
+def _check_outcome_column(family: Family, y) -> None:
+    """The family's outcome-domain check, failing as a schema error."""
+    try:
+        fam.check_outcomes(family, y)
+    except fam.DomainError as exc:
+        raise SchemaError(f"outcome column: {exc}") from exc
 
 
 def cmd_fit(args) -> int:
@@ -138,9 +142,8 @@ def cmd_fit(args) -> int:
         args.data, args.outcome, args.covariates,
         args.weights, args.pi, args.strata, args.psu, args.hajek,
     )
-    family = _family_from_name(args.family)
-    if family.kind is FamilyKind.BERNOULLI and not np.all(np.isin(y, (0.0, 1.0))):
-        raise SchemaError("bernoulli outcome column must be 0/1")
+    family = Family(FamilyKind(args.family))
+    _check_outcome_column(family, y)
     f = fit_weighted_glm(X, y, family, design)
     loss = Loss(LossKind.DEVIANCE, f.family)
     # PSU labels without strata make the whole sample one stratum
@@ -149,9 +152,9 @@ def cmd_fit(args) -> int:
     if args.method == "hte-bootstrap":
         # seed gives the reported penalty; seed + 1, ... re-run it under
         # independent seeds for an empirical interval on the estimate
-        rule = pen.glm_rule(family, loss)
+        rule = pen.glm_rule(X, design, family, loss)
         report, *reruns = [
-            pen.hte_bootstrap(rule, X, f, B=args.B, seed=args.seed + s, loss=loss)
+            pen.hte_bootstrap(rule, f, B=args.B, seed=args.seed + s, loss=loss)
             for s in range(1 + args.interval_runs)
         ]
         phats = [len(y) * r.omega_hat / 2.0 for r in reruns]
@@ -200,8 +203,7 @@ def cmd_knn(args) -> int:
         args.data, args.outcome, args.covariates,
         args.weights, args.pi, args.strata, args.psu, args.hajek,
     )
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise SchemaError("kNN requires a binary 0/1 outcome column")
+    _check_outcome_column(Family(FamilyKind.BERNOULLI), y)
     # no intercept column for a distance-based rule
     reports = rules.knn_error_report(X[:, 1:], y, design, args.k, B=args.B, seed=args.seed)
     rows = [

@@ -25,6 +25,7 @@ __all__ = [
     "unit_variance",
     "loss_q",
     "lambda_hat",
+    "check_outcomes",
     "DomainError",
 ]
 
@@ -132,6 +133,15 @@ def _check_mean_domain(family: Family, mu) -> None:
     elif family.kind is FamilyKind.POISSON:
         if np.any(mu <= 0.0):
             raise DomainError("poisson mean must be positive")
+
+
+def check_outcomes(family: Family, y) -> None:
+    """Raise DomainError for a bernoulli outcome not 0/1 or a negative poisson outcome."""
+    y = np.asarray(y, dtype=float)
+    if family.kind is FamilyKind.BERNOULLI and not np.all(np.isin(y, (0.0, 1.0))):
+        raise DomainError("bernoulli outcomes must be 0/1")
+    if family.kind is FamilyKind.POISSON and np.any(y < 0):
+        raise DomainError("poisson outcomes must be non-negative")
 
 
 def unit_variance(family: Family, mu):

@@ -71,10 +71,6 @@ class GlmFit:
     def p(self) -> int:
         return int(self.X.shape[1])
 
-    @property
-    def residuals(self) -> np.ndarray:
-        return self.y - self.mu
-
 
 @dataclass(frozen=True)
 class SandwichVariance:
@@ -260,10 +256,7 @@ def fit_weighted_glm(
         raise ValueError("X, y, and design must have matching lengths")
     if n <= p:
         raise FitError(f"need more observations ({n}) than parameters ({p})")
-    if family.kind is FamilyKind.BERNOULLI and not np.all(np.isin(y, (0.0, 1.0))):
-        raise ValueError("bernoulli outcomes must be 0/1")
-    if family.kind is FamilyKind.POISSON and np.any(y < 0):
-        raise ValueError("poisson outcomes must be non-negative")
+    fam.check_outcomes(family, y)
 
     block = irls(X, y[None], family, design)
     if block.errors[0] is not None:

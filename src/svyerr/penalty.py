@@ -5,13 +5,14 @@ check each other: the trace form tr(J V) from the sandwich, and the
 elementwise form that sums per-unit covariances between the fitted
 natural parameter and the outcome.  A parametric bootstrap covers
 prediction rules with no analytic covariance (for example kNN under 0-1
-loss).
+loss): ``hte_bootstrap(rule, gen, B, seed, loss)`` draws blocks Y of
+outcome rows from the generating fit ``gen`` and calls ``rule(Y) -> RuleFit``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -56,18 +57,7 @@ class PenaltyReport:
     sandwich: SandwichVariance | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "err_weighted": self.err_weighted,
-            "omega_hat": self.omega_hat,
-            "err_hat": self.err_hat,
-            "daic": self.daic,
-            "p_hat": self.p_hat,
-            "method": self.method,
-            "B": self.B,
-            "phi_hat": self.phi_hat,
-            "rho_hat": self.rho_hat,
-            "dropped_replicates": self.dropped_replicates,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "sandwich"}
 
 
 @dataclass(frozen=True)
@@ -84,10 +74,9 @@ class RuleFit:
     lam: np.ndarray
 
 
-# a prediction rule trains on (X, Y, design), Y an (m, n) block of outcome
-# rows, and reports its in-sample (mu, lambda) per row; it does not raise
-# for a row that fails to train
-PredictionRule = Callable[[np.ndarray, np.ndarray, SurveyDesign], RuleFit]
+# a prediction rule, built on its covariates and design, trains on an (m, n)
+# block Y of outcome rows; it does not raise for a row that fails to train
+PredictionRule = Callable[[np.ndarray], RuleFit]
 
 # bootstrap replicates per rule call: memory is O(_BLOCK * n) for any B
 _BLOCK = 32
@@ -226,10 +215,10 @@ def _draw_responses(rng: np.random.Generator, family: Family, mu: np.ndarray):
     return rng.poisson(mu).astype(float)
 
 
-def glm_rule(family: Family, loss: Loss) -> PredictionRule:
-    """Wrap the weighted GLM's IRLS as a prediction rule for the bootstrap."""
+def glm_rule(X, design: SurveyDesign, family: Family, loss: Loss) -> PredictionRule:
+    """The weighted GLM's IRLS on covariates ``X`` and ``design``, as a prediction rule."""
 
-    def train(X, Y, design):
+    def train(Y):
         mu = irls(X, Y, family, design).mu
         lam = np.full_like(mu, np.nan)
         ok = ~np.isnan(mu).any(axis=1)
@@ -240,13 +229,13 @@ def glm_rule(family: Family, loss: Loss) -> PredictionRule:
 
 
 def hte_bootstrap(
-    rule: PredictionRule, X, gen: GlmFit, B: int, seed: int, loss: Loss
+    rule: PredictionRule, gen: GlmFit, B: int, seed: int, loss: Loss
 ) -> PenaltyReport:
     """Parametric-bootstrap HTE estimate for an arbitrary prediction rule.
 
     The design-weighted GLM fit ``gen`` supplies the outcomes, the design
     and the generating means; replicate b redraws responses with the rng
-    stream (seed, b), the rule retrains on ``X`` (one call per block of
+    stream (seed, b), the rule retrains on them (one call per block of
     replicates), and the per-unit covariance of the rule's lambda with the
     simulated outcome yields the optimism.  Given PSU labels, that
     covariance is scaled by the design effect phi-hat of
@@ -258,10 +247,9 @@ def hte_bootstrap(
     """
     if B < 2:
         raise ValueError("bootstrap needs at least two replicates")
-    X = np.asarray(X, dtype=float)
     y, design, n = gen.y, gen.design, gen.n
     rho_hat, phi_hat = estimate_dispersion(gen) if design.psu is not None else (None, 1.0)
-    base = rule(X, y[None], design)
+    base = rule(y[None])
     if np.isnan(base.lam).any():
         raise FitError("the rule failed to train on the observed outcomes")
 
@@ -272,7 +260,7 @@ def hte_bootstrap(
             _draw_responses(np.random.default_rng([seed, b]), gen.family, gen.mu)
             for b in range(start, min(start + _BLOCK, B))
         ])
-        lam = rule(X, Y, design).lam
+        lam = rule(Y).lam
         ok = ~np.isnan(lam).any(axis=1)
         lam, e = lam[ok], Y[ok] - gen.mu
         sum_lam += lam.sum(axis=0)

@@ -3,7 +3,8 @@
 The classifier standardizes covariates with weighted means and standard
 deviations from the training data, votes with the survey weights of the
 k nearest points (self included, so the optimism is nonzero), and maps
-the vote to the +-1 penalty parameter of the 0-1 loss.
+the vote to the +-1 penalty parameter of the 0-1 loss.  As a bootstrap
+rule, ``knn_rule(X, design, k)(Y)`` returns the RuleFit of outcome rows Y.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class KnnModel:
     kept_columns: np.ndarray
 
 
-def _standardize_params(X, weights):
+def _standardize(X, weights):
+    """Weighted z-scores of X's non-constant columns: (Z, center, scale, kept columns)."""
     wsum = weights.sum()
     center = (weights[:, None] * X).sum(axis=0) / wsum
     var = (weights[:, None] * (X - center) ** 2).sum(axis=0) / wsum
@@ -44,7 +46,8 @@ def _standardize_params(X, weights):
     kept = scale > 1e-12 * np.maximum(np.abs(center), 1.0)
     if not np.all(kept):
         warnings.warn(f"dropping {int((~kept).sum())} zero-variance column(s)")
-    return center, scale, np.flatnonzero(kept)
+    kept = np.flatnonzero(kept)
+    return (X[:, kept] - center[kept]) / scale[kept], center, scale, kept
 
 
 def _check_k(k, n) -> None:
@@ -57,10 +60,8 @@ def knn_train(X, y, design: SurveyDesign, k: int) -> KnnModel:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     _check_k(k, X.shape[0])
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise ValueError("kNN classification requires a binary 0/1 outcome")
-    center, scale, kept = _standardize_params(X, design.weights)
-    Z = (X[:, kept] - center[kept]) / scale[kept]
+    fam.check_outcomes(Family(FamilyKind.BERNOULLI), y)
+    Z, center, scale, kept = _standardize(X, design.weights)
     return KnnModel(
         k=k, X=Z, y=y, weights=design.weights,
         center=center, scale=scale, kept_columns=kept,
@@ -142,7 +143,7 @@ def _vote_rule(W: sparse.csr_array) -> pen.PredictionRule:
     wsums = W.sum(axis=1)
     loss = Loss(LossKind.ZERO_ONE)
 
-    def train(X_train, Y, design_train) -> pen.RuleFit:
+    def train(Y) -> pen.RuleFit:
         mu = (W @ np.asarray(Y, dtype=float).T).T / wsums
         return pen.RuleFit(mu=mu, lam=np.asarray(fam.lambda_hat(loss, mu)))
 
@@ -155,8 +156,10 @@ def knn_rule(X, design: SurveyDesign, k: int) -> pen.PredictionRule:
     The neighbour structure depends only on X, so it is computed once and
     reused when the bootstrap retrains on blocks of resampled outcome rows.
     """
-    probe = knn_train(X, np.zeros(len(X)), design, k)
-    return _vote_rule(_neighbour_weights(probe.X, probe.weights, [k])[k])
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    _check_k(k, X.shape[0])
+    Z = _standardize(X, design.weights)[0]
+    return _vote_rule(_neighbour_weights(Z, design.weights, [k])[k])
 
 
 def knn_error_report(
@@ -174,10 +177,9 @@ def knn_error_report(
     )
     for k in k_list:
         _check_k(k, X.shape[0])
-    probe = knn_train(X, np.zeros(len(X)), design, max(k_list, default=1))
-    W = _neighbour_weights(probe.X, probe.weights, k_list)
+    W = _neighbour_weights(_standardize(X, design.weights)[0], design.weights, k_list)
     loss = Loss(LossKind.ZERO_ONE)
     return [
-        (int(k), pen.hte_bootstrap(_vote_rule(W[k]), X, gen, B=B, seed=seed, loss=loss))
+        (int(k), pen.hte_bootstrap(_vote_rule(W[k]), gen, B=B, seed=seed, loss=loss))
         for k in k_list
     ]

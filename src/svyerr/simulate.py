@@ -155,9 +155,21 @@ def draw_sample(
     return idx, SurveyDesign(pi=pi, pop_size=float(N))
 
 
-def _fit_scenario_sample(x_s, y_s, family: Family, design: SurveyDesign):
+def _fit_replicate(x_s, y_s, family: Family, design: SurveyDesign, loss: Loss):
+    """Both experiments' replicate step: the design-weighted fit of [1, x], its
+    analytic HTE report under ``loss``, and the uniform-weight fit's naive AIC.
+    """
     X = np.column_stack([np.ones(len(x_s)), x_s])
-    return fit_weighted_glm(X, y_s, family, design)
+    f = fit_weighted_glm(X, y_s, family, design)
+    report = pen.hte_analytic(f, loss=loss)
+    uniform = fit_weighted_glm(X, y_s, family, SurveyDesign.uniform(len(x_s)))
+    return f, report, pen.aic_naive(uniform)
+
+
+def _check_failures(failures: int, reps: int) -> None:
+    """Both experiments' failure rule: at most max(1, 1% of reps) failed fits, and one kept."""
+    if failures > max(1, 0.01 * reps) or failures == reps:
+        raise FitError(f"{failures}/{reps} replicates failed to fit")
 
 
 def run_optimism_experiment(spec: ScenarioSpec, reps: int, seed: int) -> ExperimentSummary:
@@ -182,17 +194,11 @@ def run_optimism_experiment(spec: ScenarioSpec, reps: int, seed: int) -> Experim
         x, y, _ = pop
         idx, design = draw_sample(pop, spec.sample_size, [seed, rep, 1])
         try:
-            f = _fit_scenario_sample(x[idx], y[idx], family, design)
-            report = pen.hte_analytic(f, loss=sq)
-            uf = _fit_scenario_sample(
-                x[idx], y[idx], family, SurveyDesign.uniform(len(idx))
-            )
+            f, report, naive = _fit_replicate(x[idx], y[idx], family, design, sq)
         except FitError:
             failures += 1
             continue
-        mu_pop = np.asarray(
-            fam.natural_to_mean(family, f.theta[0] + f.theta[1] * x)
-        )
+        mu_pop = fam.natural_to_mean(family, f.theta[0] + f.theta[1] * x)
         Err = float(np.mean((y - mu_pop) ** 2))
         summary.records.append(
             {
@@ -201,11 +207,10 @@ def run_optimism_experiment(spec: ScenarioSpec, reps: int, seed: int) -> Experim
                 "optimism": Err - report.err_weighted,
                 "omega_hat": report.omega_hat,
                 "err_hat": report.err_hat,
-                "aic_naive": pen.aic_naive(uf),
+                "aic_naive": naive,
             }
         )
-    if failures > max(1, 0.01 * reps):
-        raise FitError(f"{failures}/{reps} replicates failed to fit")
+    _check_failures(failures, reps)
     return summary
 
 
@@ -265,26 +270,23 @@ def run_relative_error_experiment(
     for cell, value in enumerate(values):
         spec = CaseControlSpec(**{**cc.__dict__, key: value})
         rel_hte, rel_aic = [], []
+        failures = 0
         for rep in range(reps):
             rng = np.random.default_rng([seed, cell, rep])
             x, y, cases = _case_control_population(spec, rng)
             idx, design = _case_control_draw(cases, spec.sample_size, spec.case_fraction, rng)
             try:
-                f = _fit_scenario_sample(x[idx], y[idx], family, design)
-                report = pen.hte_analytic(f, loss=loss)
-                uf = _fit_scenario_sample(
-                    x[idx], y[idx], family, SurveyDesign.uniform(len(idx))
-                )
+                f, report, naive = _fit_replicate(x[idx], y[idx], family, design, loss)
             except FitError:
+                failures += 1
                 continue
             rest = np.ones(len(x), dtype=bool)
             rest[idx] = False
-            mu_rest = np.asarray(
-                fam.natural_to_mean(family, f.theta[0] + f.theta[1] * x[rest])
-            )
-            err_true = float(np.mean(np.asarray(fam.loss_q(loss, y[rest], mu_rest))))
+            mu_rest = fam.natural_to_mean(family, f.theta[0] + f.theta[1] * x[rest])
+            err_true = float(np.mean(fam.loss_q(loss, y[rest], mu_rest)))
             rel_hte.append(abs(report.err_hat - err_true) / err_true)
-            rel_aic.append(abs(pen.aic_naive(uf) - err_true) / err_true)
+            rel_aic.append(abs(naive - err_true) / err_true)
+        _check_failures(failures, reps)
         hte, aic = np.array(rel_hte), np.array(rel_aic)
         rows.append(
             {

@@ -205,7 +205,8 @@ def test_criterion_9_bootstrap_matches_analytic_on_weighted_logistic():
     f = fit_weighted_glm(X, y, BERN, design)
     loss = Loss(LossKind.DEVIANCE, BERN)
     analytic = hte_analytic(f, loss=loss).omega_hat
-    boot = hte_bootstrap(glm_rule(BERN, loss), X, f, B=2_000, seed=SEED, loss=loss).omega_hat
+    rule = glm_rule(X, design, BERN, loss)
+    boot = hte_bootstrap(rule, f, B=2_000, seed=SEED, loss=loss).omega_hat
     rel = abs(boot - analytic) / abs(analytic)
     _verdict(
         9,

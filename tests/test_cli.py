@@ -55,6 +55,19 @@ class TestLoadDataset:
         X, y, design = load_dataset(str(path), "y", ["x"], "w", None)
         assert y[0] == val
 
+    def test_utf8_byte_order_mark_read_like_plain_file(self, gaussian_csv, tmp_path, capsys):
+        bom = tmp_path / "bom.csv"
+        with open(gaussian_csv, "rb") as fh:
+            bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        outs = []
+        for path in (gaussian_csv, str(bom)):
+            assert main([
+                "fit", "--data", path, "--outcome", "y", "--covariates", "x1", "x2",
+                "--weights", "w", "--family", "gaussian", "--seed", "1",
+            ]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_requires_exactly_one_weight_source(self, gaussian_csv):
         with pytest.raises(SchemaError):
             load_dataset(gaussian_csv, "y", ["x1"], "w", "w")
@@ -291,6 +304,17 @@ class TestCmdFit:
             assert clustered["p_hat_bootstrap"][q] == pytest.approx(
                 phi * plain["p_hat_bootstrap"][q], rel=1e-12)
 
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson"])
+    def test_outcome_outside_family_schema_exit(self, gaussian_csv, capsys, family):
+        # the gaussian fixture's outcome is neither 0/1 nor non-negative
+        code = main([
+            "fit", "--data", gaussian_csv, "--outcome", "y",
+            "--covariates", "x1", "--weights", "w",
+            "--family", family, "--seed", "1",
+        ])
+        assert code == 2
+        assert f"schema error: outcome column: {family} outcomes" in capsys.readouterr().err
+
     def test_missing_weight_column_schema_exit(self, gaussian_csv):
         code = main([
             "fit", "--data", gaussian_csv, "--outcome", "y",
@@ -338,6 +362,15 @@ class TestCmdSimulate:
             (row,) = list(csv.DictReader(fh))
         assert agg["replicates"] == 1
         assert agg["optimism"]["mean"] == pytest.approx(float(row["optimism"]))
+
+    def test_every_replicate_failing_numeric_exit(self, capsys):
+        # a sample of 2 cannot fit 2 parameters, so the one replicate fails
+        code = main([
+            "simulate", "--scenario", "s1", "--pop", "10", "--n", "2",
+            "--reps", "1", "--seed", "1",
+        ])
+        assert code == 3
+        assert "numerical error: 1/1 replicates failed to fit" in capsys.readouterr().err
 
     def test_csv_reaggregates_to_json(self, tmp_path):
         out_csv = tmp_path / "r.csv"

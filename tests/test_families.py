@@ -13,6 +13,7 @@ from svyerr.families import (
     FamilyKind,
     Loss,
     LossKind,
+    check_outcomes,
     lambda_hat,
     loss_q,
     mean_to_natural,
@@ -144,6 +145,25 @@ class TestVariance:
     def test_positive_dispersion_required(self):
         with pytest.raises(ValueError):
             Family(FamilyKind.GAUSSIAN, 0.0)
+
+
+class TestCheckOutcomes:
+    @pytest.mark.parametrize("family, y", [
+        (BERN, [0.0, 0.5, 1.0]),
+        (BERN, [0.0, -1.0]),
+        (POIS, [0.0, 3.0, -0.5]),
+    ])
+    def test_outside_support_rejected(self, family, y):
+        with pytest.raises(DomainError, match=family.kind.value):
+            check_outcomes(family, y)
+
+    @pytest.mark.parametrize("family, y", [
+        (BERN, [0.0, 1.0, 1.0]),
+        (POIS, [0.0, 2.5, 7.0]),
+        (GAUSS, [-3.0, 0.5, 1e9]),
+    ])
+    def test_inside_support_accepted(self, family, y):
+        check_outcomes(family, y)
 
 
 class TestLossQ:

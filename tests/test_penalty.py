@@ -274,18 +274,18 @@ class TestHteBootstrap:
         X, y, d = _gaussian_instance(rng, n=80)
         f = fit_weighted_glm(X, y, GAUSS, d)
         analytic = hte_analytic(f, loss=SQERR)
-        rule = glm_rule(GAUSS, SQERR)
-        boot = hte_bootstrap(rule, X, f, B=2000, seed=1, loss=SQERR)
+        rule = glm_rule(X, d, GAUSS, SQERR)
+        boot = hte_bootstrap(rule, f, B=2000, seed=1, loss=SQERR)
         assert boot.omega_hat == pytest.approx(analytic.omega_hat, rel=0.10)
 
     def test_psu_labels_scale_omega_by_design_effect(self):
         rng = np.random.default_rng(11)
         X, y, d = _gaussian_instance(rng, n=40)
         clustered = SurveyDesign(pi=d.pi, psu=np.repeat(np.arange(10), 4))
-        rule = glm_rule(GAUSS, SQERR)
-        plain = hte_bootstrap(rule, X, fit_weighted_glm(X, y, GAUSS, d), B=50, seed=2, loss=SQERR)
+        plain = hte_bootstrap(glm_rule(X, d, GAUSS, SQERR), fit_weighted_glm(X, y, GAUSS, d),
+                              B=50, seed=2, loss=SQERR)
         gen = fit_weighted_glm(X, y, GAUSS, clustered)
-        scaled = hte_bootstrap(rule, X, gen, B=50, seed=2, loss=SQERR)
+        scaled = hte_bootstrap(glm_rule(X, clustered, GAUSS, SQERR), gen, B=50, seed=2, loss=SQERR)
         rho, phi = estimate_dispersion(gen)
         assert (plain.rho_hat, plain.phi_hat) == (None, 1.0)
         assert (scaled.rho_hat, scaled.phi_hat) == (rho, phi)
@@ -296,20 +296,20 @@ class TestHteBootstrap:
         rng = np.random.default_rng(12)
         X, y, d = _gaussian_instance(rng, n=40)
 
-        def constant_rule(X_, Y_, d_):
+        def constant_rule(Y_):
             return RuleFit(mu=np.full(Y_.shape, 0.3), lam=np.full(Y_.shape, 0.3))
 
-        boot = hte_bootstrap(constant_rule, X, fit_weighted_glm(X, y, GAUSS, d),
+        boot = hte_bootstrap(constant_rule, fit_weighted_glm(X, y, GAUSS, d),
                              B=2000, seed=3, loss=SQERR)
         assert boot.omega_hat == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(13)
         X, y, d = _gaussian_instance(rng, n=30)
-        rule = glm_rule(GAUSS, SQERR)
+        rule = glm_rule(X, d, GAUSS, SQERR)
         gen = fit_weighted_glm(X, y, GAUSS, d)
-        r1 = hte_bootstrap(rule, X, gen, B=40, seed=9, loss=SQERR)
-        r2 = hte_bootstrap(rule, X, gen, B=40, seed=9, loss=SQERR)
+        r1 = hte_bootstrap(rule, gen, B=40, seed=9, loss=SQERR)
+        r2 = hte_bootstrap(rule, gen, B=40, seed=9, loss=SQERR)
         assert r1.omega_hat == r2.omega_hat
 
     def test_failing_replicates_dropped_then_error(self):
@@ -317,7 +317,7 @@ class TestHteBootstrap:
         X, y, d = _gaussian_instance(rng, n=30)
         calls = {"n": 0}
 
-        def flaky_rule(X_, Y_, d_):
+        def flaky_rule(Y_):
             calls["n"] += 1
             if calls["n"] > 1:  # fail on every bootstrap replicate
                 return RuleFit(mu=Y_, lam=np.full(Y_.shape, np.nan))
@@ -326,7 +326,7 @@ class TestHteBootstrap:
         from svyerr.fit import FitError
 
         with pytest.raises(FitError, match="replicates"):
-            hte_bootstrap(flaky_rule, X, fit_weighted_glm(X, y, GAUSS, d), B=20, seed=4,
+            hte_bootstrap(flaky_rule, fit_weighted_glm(X, y, GAUSS, d), B=20, seed=4,
                           loss=SQERR)
 
     def test_report_dict_carries_dropped_replicates(self):
@@ -334,14 +334,14 @@ class TestHteBootstrap:
         X, y, d = _gaussian_instance(rng, n=30)
         seen = {"rows": -1}  # replicate index of the block's first row; -1 is the base fit
 
-        def flaky_rule(X_, Y_, d_):
+        def flaky_rule(Y_):
             b = seen["rows"] + np.arange(len(Y_))
             seen["rows"] += len(Y_)
             lam = Y_.copy()
             lam[np.isin(b, (1, 5))] = np.nan  # replicates 1 and 5 fail to train
             return RuleFit(mu=Y_, lam=lam)
 
-        report = hte_bootstrap(flaky_rule, X, fit_weighted_glm(X, y, GAUSS, d), B=20, seed=4,
+        report = hte_bootstrap(flaky_rule, fit_weighted_glm(X, y, GAUSS, d), B=20, seed=4,
                                loss=SQERR)
         assert report.dropped_replicates == 2
         assert report.to_dict()["dropped_replicates"] == 2
@@ -350,7 +350,7 @@ class TestHteBootstrap:
         rng = np.random.default_rng(15)
         X, y, d = _gaussian_instance(rng, n=30)
         with pytest.raises(ValueError):
-            hte_bootstrap(glm_rule(GAUSS, SQERR), X, fit_weighted_glm(X, y, GAUSS, d),
+            hte_bootstrap(glm_rule(X, d, GAUSS, SQERR), fit_weighted_glm(X, y, GAUSS, d),
                           B=1, seed=0, loss=SQERR)
 
 

@@ -1,8 +1,12 @@
 """Population generation, PPS sampling, and the Monte Carlo experiments."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from svyerr import simulate as sim
+from svyerr.fit import FitError
 from svyerr.simulate import (
     CaseControlSpec,
     ScenarioSpec,
@@ -150,6 +154,44 @@ class TestRunRelativeErrorExperiment:
             cc, {"prevalence": [0.02, 0.1]}, reps=3, seed=1
         )
         assert [r["prevalence"] for r in rows] == [0.02, 0.1]
+
+
+class TestFailureRule:
+    """Both experiments skip a failed fit; they raise past max(1, 1% of reps) failures."""
+
+    @staticmethod
+    def _fail_first(monkeypatch, k):
+        # a failed weighted fit skips its replicate's uniform fit, so the
+        # first k fit calls are the weighted fits of replicates 0, ..., k - 1
+        real, calls = sim.fit_weighted_glm, itertools.count()
+
+        def fit(*args, **kwargs):
+            if next(calls) < k:
+                raise FitError("forced failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "fit_weighted_glm", fit)
+
+    @staticmethod
+    def _kept(experiment, reps):
+        if experiment == "optimism":
+            spec = ScenarioSpec(id="s1", pop_size=5000, sample_size=200)
+            return len(run_optimism_experiment(spec, reps=reps, seed=0).records)
+        cc = CaseControlSpec(sample_size=100, prevalence=0.05)
+        (row,) = run_relative_error_experiment(cc, {"sample_size": [100]}, reps=reps, seed=0)
+        return row["reps"]
+
+    @pytest.mark.parametrize("experiment", ["optimism", "relative_error"])
+    def test_one_failure_skipped(self, monkeypatch, experiment):
+        self._fail_first(monkeypatch, 1)
+        assert self._kept(experiment, 3) == 2
+
+    @pytest.mark.parametrize("experiment", ["optimism", "relative_error"])
+    @pytest.mark.parametrize("failures, reps", [(2, 3), (1, 1)])
+    def test_too_many_failures_raise(self, monkeypatch, experiment, failures, reps):
+        self._fail_first(monkeypatch, failures)
+        with pytest.raises(FitError, match=f"{failures}/{reps} replicates failed"):
+            self._kept(experiment, reps)
 
 
 class TestBruteForceOptimism:
