@@ -199,6 +199,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_knn(args) -> int:
+    if len(set(args.k)) != len(args.k):
+        raise SchemaError(f"--k repeats a neighbour count: {' '.join(map(str, args.k))}")
     X, y, design = load_dataset(
         args.data, args.outcome, args.covariates,
         args.weights, args.pi, args.strata, args.psu, args.hajek,

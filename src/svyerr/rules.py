@@ -172,11 +172,13 @@ def knn_error_report(
     One neighbour query serves every k.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    for k in k_list:
+        _check_k(k, X.shape[0])
+    if len(set(k_list)) != len(k_list):
+        raise ValueError(f"repeated neighbour count in {list(k_list)}")
     gen = fit_weighted_glm(
         np.column_stack([np.ones(X.shape[0]), X]), y, Family(FamilyKind.BERNOULLI), design
     )
-    for k in k_list:
-        _check_k(k, X.shape[0])
     W = _neighbour_weights(_standardize(X, design.weights)[0], design.weights, k_list)
     loss = Loss(LossKind.ZERO_ONE)
     return [

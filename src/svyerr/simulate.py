@@ -3,13 +3,15 @@
 Generates finite populations under the eight benchmark scenarios, draws
 fixed-size successive-draw PPS samples, and runs the optimism and
 HTE-versus-naive-AIC experiments with per-replicate seed streams so the
-results are reproducible regardless of execution order.
+results are reproducible regardless of execution order; the replicates
+run on forked workers where that pays (``_map_replicates``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +32,6 @@ __all__ = [
     "draw_sample",
     "run_optimism_experiment",
     "run_relative_error_experiment",
-    "brute_force_optimism",
 ]
 
 SCENARIO_IDS = (
@@ -172,6 +173,97 @@ def _check_failures(failures: int, reps: int) -> None:
         raise FitError(f"{failures}/{reps} replicates failed to fit")
 
 
+# Fan-out pays only past this many population units over all replicates: a
+# replicate costs about 90 ns per unit, a fork plus join 10-20 ms.
+_FORK_MIN_WORK = 1_000_000
+
+
+def _worker_count(tasks: int, work: int) -> int:
+    """Processes to run ``tasks`` replicates totalling ``work`` population units on.
+
+    min(tasks, usable CPUs // BLAS threads), where the BLAS thread count
+    is read from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else taken
+    to be the CPU count: a process whose BLAS is not pinned to one thread
+    already keeps every CPU busy, and stays serial.  Also serial below
+    ``_FORK_MIN_WORK``, where "fork" is not a start method, and while the
+    process runs another Python thread: a forked child gets only the
+    calling thread, and a lock another thread held stays locked in it.
+    (Spawned workers would each re-import numpy and scipy, which costs
+    more than a typical experiment.)
+    """
+    if work < _FORK_MIN_WORK or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        blas_threads = max(1, int(blas)) if blas else cpus
+    except ValueError:
+        blas_threads = cpus
+    workers = min(tasks, cpus // blas_threads)
+    if workers < 2:
+        return 1
+    import multiprocessing
+
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _run_chunk(step, tasks) -> list:
+    return [step(*task) for task in tasks]
+
+
+def _map_replicates(step, tasks: list[tuple], sizes: list[int]) -> list:
+    """``[step(*task) for task in tasks]``, fanned out over forked workers.
+
+    ``sizes`` is each task's population size.  The tasks are cut into one
+    contiguous chunk per worker, of about equal total size; the parent
+    computes the first chunk while forked children compute the rest, and
+    the chunks are joined in task order.  Each replicate draws from its
+    own seed stream, so the list is the serial one for any worker count.
+    """
+    workers = _worker_count(len(tasks), sum(sizes))
+    if workers == 1:
+        return _run_chunk(step, tasks)
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    cum = np.concatenate([[0], np.cumsum(sizes)])
+    bounds = np.searchsorted(cum, cum[-1] * np.arange(workers + 1) // workers)
+    chunks = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(workers - 1, mp_context=get_context("fork")) as pool:
+        futures = [pool.submit(_run_chunk, step, chunk) for chunk in chunks[1:] if chunk]
+        results = _run_chunk(step, chunks[0])
+        for fut in futures:
+            results.extend(fut.result())
+    return results
+
+
+def _optimism_replicate(spec: ScenarioSpec, seed: int, rep: int) -> dict | None:
+    """One optimism replicate's record, or None when a fit fails."""
+    family = spec.family
+    pop = generate_population(spec, [seed, rep, 0])
+    x, y, _ = pop
+    idx, design = draw_sample(pop, spec.sample_size, [seed, rep, 1])
+    try:
+        f, report, naive = _fit_replicate(
+            x[idx], y[idx], family, design, Loss(LossKind.SQUARED_ERROR)
+        )
+    except FitError:
+        return None
+    mu_pop = fam.natural_to_mean(family, f.theta[0] + f.theta[1] * x)
+    Err = float(np.mean((y - mu_pop) ** 2))
+    return {
+        "Err": Err,
+        "err": report.err_weighted,
+        "optimism": Err - report.err_weighted,
+        "omega_hat": report.omega_hat,
+        "err_hat": report.err_hat,
+        "aic_naive": naive,
+    }
+
+
 def run_optimism_experiment(spec: ScenarioSpec, reps: int, seed: int) -> ExperimentSummary:
     """Optimism benchmark: finite-population Err - err versus analytic HTE.
 
@@ -185,39 +277,22 @@ def run_optimism_experiment(spec: ScenarioSpec, reps: int, seed: int) -> Experim
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    family = spec.family
-    sq = Loss(LossKind.SQUARED_ERROR)
-    summary = ExperimentSummary(scenario=spec.id)
-    failures = 0
-    for rep in range(reps):
-        pop = generate_population(spec, [seed, rep, 0])
-        x, y, _ = pop
-        idx, design = draw_sample(pop, spec.sample_size, [seed, rep, 1])
-        try:
-            f, report, naive = _fit_replicate(x[idx], y[idx], family, design, sq)
-        except FitError:
-            failures += 1
-            continue
-        mu_pop = fam.natural_to_mean(family, f.theta[0] + f.theta[1] * x)
-        Err = float(np.mean((y - mu_pop) ** 2))
-        summary.records.append(
-            {
-                "Err": Err,
-                "err": report.err_weighted,
-                "optimism": Err - report.err_weighted,
-                "omega_hat": report.omega_hat,
-                "err_hat": report.err_hat,
-                "aic_naive": naive,
-            }
-        )
-    _check_failures(failures, reps)
-    return summary
+    records = _map_replicates(
+        _optimism_replicate, [(spec, seed, rep) for rep in range(reps)], [spec.pop_size] * reps
+    )
+    kept = [r for r in records if r is not None]
+    _check_failures(reps - len(kept), reps)
+    return ExperimentSummary(scenario=spec.id, records=kept)
+
+
+def _case_control_pop_size(cc: CaseControlSpec) -> int:
+    n = cc.sample_size
+    return int(max(10 * n, math.ceil(0.4 * n / cc.prevalence)))
 
 
 def _case_control_population(cc: CaseControlSpec, rng: np.random.Generator):
     """Population (X, y, case indicator) with the requested case prevalence."""
-    n = cc.sample_size
-    N = int(max(10 * n, math.ceil(0.4 * n / cc.prevalence)))
+    N = _case_control_pop_size(cc)
     x = rng.normal(size=N)
     # intercept tuned so the realized event rate matches the prevalence
     a = optimize.brentq(
@@ -251,6 +326,27 @@ def _mc_se(v: np.ndarray) -> float:
     return float(v.std(ddof=1) / math.sqrt(len(v)))
 
 
+def _case_control_replicate(cc: CaseControlSpec, seed: int, cell: int, rep: int):
+    """One case-control replicate's relative errors (HTE, naive AIC), or None when a fit fails.
+
+    True error is the deviance on the unsampled part of the population.
+    """
+    family = Family(FamilyKind.BERNOULLI)
+    loss = Loss(LossKind.DEVIANCE, family)
+    rng = np.random.default_rng([seed, cell, rep])
+    x, y, cases = _case_control_population(cc, rng)
+    idx, design = _case_control_draw(cases, cc.sample_size, cc.case_fraction, rng)
+    try:
+        f, report, naive = _fit_replicate(x[idx], y[idx], family, design, loss)
+    except FitError:
+        return None
+    rest = np.ones(len(x), dtype=bool)
+    rest[idx] = False
+    mu_rest = fam.natural_to_mean(family, f.theta[0] + f.theta[1] * x[rest])
+    err_true = float(np.mean(fam.loss_q(loss, y[rest], mu_rest)))
+    return abs(report.err_hat - err_true) / err_true, abs(naive - err_true) / err_true
+
+
 def run_relative_error_experiment(
     cc: CaseControlSpec, grid: dict, reps: int, seed: int
 ) -> list[dict]:
@@ -264,30 +360,16 @@ def run_relative_error_experiment(
     difference.
     """
     (key, values), = grid.items()
-    family = Family(FamilyKind.BERNOULLI)
-    loss = Loss(LossKind.DEVIANCE, family)
+    specs = [CaseControlSpec(**{**cc.__dict__, key: value}) for value in values]
+    tasks = [(spec, seed, cell, rep) for cell, spec in enumerate(specs) for rep in range(reps)]
+    results = _map_replicates(
+        _case_control_replicate, tasks, [_case_control_pop_size(t[0]) for t in tasks]
+    )
     rows = []
     for cell, value in enumerate(values):
-        spec = CaseControlSpec(**{**cc.__dict__, key: value})
-        rel_hte, rel_aic = [], []
-        failures = 0
-        for rep in range(reps):
-            rng = np.random.default_rng([seed, cell, rep])
-            x, y, cases = _case_control_population(spec, rng)
-            idx, design = _case_control_draw(cases, spec.sample_size, spec.case_fraction, rng)
-            try:
-                f, report, naive = _fit_replicate(x[idx], y[idx], family, design, loss)
-            except FitError:
-                failures += 1
-                continue
-            rest = np.ones(len(x), dtype=bool)
-            rest[idx] = False
-            mu_rest = fam.natural_to_mean(family, f.theta[0] + f.theta[1] * x[rest])
-            err_true = float(np.mean(fam.loss_q(loss, y[rest], mu_rest)))
-            rel_hte.append(abs(report.err_hat - err_true) / err_true)
-            rel_aic.append(abs(naive - err_true) / err_true)
-        _check_failures(failures, reps)
-        hte, aic = np.array(rel_hte), np.array(rel_aic)
+        kept = [r for r in results[cell * reps:(cell + 1) * reps] if r is not None]
+        _check_failures(reps - len(kept), reps)
+        hte, aic = map(np.array, zip(*kept))
         rows.append(
             {
                 key: value,
@@ -301,71 +383,3 @@ def run_relative_error_experiment(
             }
         )
     return rows
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    e_err_hat: float
-    e_g_err: float
-    mc_se: float
-    draws: int
-
-
-def brute_force_optimism(
-    pop_size: int = 8,
-    sample_size: int = 4,
-    draws: int = 2000,
-    seed: int = 0,
-    sigma2: float = 1.0,
-    mean: float = 0.0,
-    size_measure=None,
-) -> BruteForceResult:
-    """Exhaustive check of design-unbiasedness for a mean-only gaussian model.
-
-    The design draws fixed-size samples with probability proportional to
-    the product of per-unit size measures; every sample is enumerated, so
-    the design expectation is exact, and the covariance in the HTE
-    penalty uses the known sigma^2.  The superpopulation error uses the
-    closed-form expectation over a fresh response at each unit.
-    """
-    if pop_size > 12:
-        raise ValueError("population too large for exhaustive enumeration")
-    if size_measure is None:
-        size_measure = np.linspace(0.8, 1.2, pop_size)
-    m = np.asarray(size_measure, dtype=float)
-
-    samples = list(itertools.combinations(range(pop_size), sample_size))
-    p_s = np.array([np.prod(m[list(s)]) for s in samples])
-    p_s /= p_s.sum()
-    pi = np.zeros(pop_size)
-    for prob, s in zip(p_s, samples):
-        pi[list(s)] += prob
-    w = 1.0 / pi
-
-    rng = np.random.default_rng(seed)
-    diffs = np.empty(draws)
-    err_hats = np.empty(draws)
-    errs = np.empty(draws)
-    for d in range(draws):
-        y = mean + rng.normal(size=pop_size) * math.sqrt(sigma2)
-        e_hat = 0.0
-        e_true = 0.0
-        for prob, s in zip(p_s, samples):
-            s = list(s)
-            ws = w[s]
-            mu_hat = float(ws @ y[s]) / ws.sum()
-            err_w = float(ws @ (y[s] - mu_hat) ** 2) / pop_size
-            cov = ws * sigma2 / ws.sum()  # cov(mu_hat, y_i), exact
-            pen_term = 2.0 * float(ws @ cov) / pop_size
-            e_hat += prob * (err_w + pen_term)
-            e_true += prob * (sigma2 + (mean - mu_hat) ** 2)
-        err_hats[d] = e_hat
-        errs[d] = e_true
-        diffs[d] = e_hat - e_true
-    mc_se = float(diffs.std(ddof=1) / math.sqrt(draws))
-    return BruteForceResult(
-        e_err_hat=float(err_hats.mean()),
-        e_g_err=float(errs.mean()),
-        mc_se=mc_se,
-        draws=draws,
-    )

@@ -24,11 +24,11 @@ from svyerr.rules import _neighbour_weights, knn_error_report, knn_train
 from svyerr.simulate import (
     CaseControlSpec,
     ScenarioSpec,
-    brute_force_optimism,
     run_optimism_experiment,
     run_relative_error_experiment,
 )
 from test_rules import _dense_neighbour_weights
+from test_simulate import brute_force_optimism
 
 GAUSS = Family(FamilyKind.GAUSSIAN)
 BERN = Family(FamilyKind.BERNOULLI)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from svyerr import cli, fit, penalty
+from svyerr import simulate as sim
 from svyerr.cli import load_dataset, main, SchemaError
 from svyerr.families import Family, FamilyKind
 from svyerr.fit import fit_weighted_glm
@@ -403,6 +404,22 @@ class TestCmdSimulate:
         assert paths[0] == paths[1]
 
 
+    def test_forked_workers_byte_identical_outputs(self, tmp_path, capsys, monkeypatch):
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(sim, "_worker_count", lambda tasks, work, n=workers: n)
+            out_csv = tmp_path / f"{workers}.csv"
+            out_json = tmp_path / f"{workers}.json"
+            code = main([
+                "simulate", "--scenario", "s2_bern", "--pop", "4000", "--n", "150",
+                "--reps", "5", "--seed", "99",
+                "--out-csv", str(out_csv), "--out-json", str(out_json),
+            ])
+            assert code == 0
+            outputs.append((capsys.readouterr().out, out_csv.read_bytes(), out_json.read_bytes()))
+        assert outputs[1] == outputs[0]
+
+
 class TestCmdKnn:
     def test_table_shape_and_k_equals_n(self, logistic_csv, tmp_path):
         out_csv = tmp_path / "knn.csv"
@@ -457,6 +474,16 @@ class TestCmdKnn:
         ])
         assert code == 3
         assert f"k must lie in [1, n=30], got {k}" in capsys.readouterr().err
+
+    def test_repeated_k_schema_exit(self, logistic_csv, capsys):
+        code = main([
+            "knn", "--data", logistic_csv, "--outcome", "y", "--covariates", "x1",
+            "--weights", "w", "--k", "5", "5", "--B", "10", "--seed", "2",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "schema error: --k repeats a neighbour count: 5 5" in captured.err
+        assert captured.out == ""
 
     def test_non_binary_outcome_schema_exit(self, gaussian_csv):
         code = main([

@@ -328,6 +328,12 @@ class TestKnnErrorReport:
         X, y, d = _binary_data(rng, n=30)
         assert knn_error_report(X, y, d, [], B=5, seed=0) == []
 
+    def test_repeated_k_rejected(self):
+        rng = np.random.default_rng(17)
+        X, y, d = _binary_data(rng, n=30)
+        with pytest.raises(ValueError, match="repeated neighbour count"):
+            knn_error_report(X, y, d, [5, 3, 5], B=5, seed=0)
+
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         X, y, d = _binary_data(rng, n=30)

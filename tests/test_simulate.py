@@ -1,6 +1,14 @@
-"""Population generation, PPS sampling, and the Monte Carlo experiments."""
+"""Population generation, PPS sampling, and the Monte Carlo experiments.
+
+Also home to ``brute_force_optimism``, the exhaustive small-population
+oracle that acceptance criterion 8 checks design-unbiasedness against.
+"""
 
 import itertools
+import math
+import multiprocessing
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,12 +18,79 @@ from svyerr.fit import FitError
 from svyerr.simulate import (
     CaseControlSpec,
     ScenarioSpec,
-    brute_force_optimism,
     draw_sample,
     generate_population,
     run_optimism_experiment,
     run_relative_error_experiment,
 )
+
+
+@dataclass(frozen=True)
+class BruteForceResult:
+    e_err_hat: float
+    e_g_err: float
+    mc_se: float
+    draws: int
+
+
+def brute_force_optimism(
+    pop_size: int = 8,
+    sample_size: int = 4,
+    draws: int = 2000,
+    seed: int = 0,
+    sigma2: float = 1.0,
+    mean: float = 0.0,
+    size_measure=None,
+) -> BruteForceResult:
+    """Exhaustive check of design-unbiasedness for a mean-only gaussian model.
+
+    The design draws fixed-size samples with probability proportional to
+    the product of per-unit size measures; every sample is enumerated, so
+    the design expectation is exact, and the covariance in the HTE
+    penalty uses the known sigma^2.  The superpopulation error uses the
+    closed-form expectation over a fresh response at each unit.
+    """
+    if pop_size > 12:
+        raise ValueError("population too large for exhaustive enumeration")
+    if size_measure is None:
+        size_measure = np.linspace(0.8, 1.2, pop_size)
+    m = np.asarray(size_measure, dtype=float)
+
+    samples = list(itertools.combinations(range(pop_size), sample_size))
+    p_s = np.array([np.prod(m[list(s)]) for s in samples])
+    p_s /= p_s.sum()
+    pi = np.zeros(pop_size)
+    for prob, s in zip(p_s, samples):
+        pi[list(s)] += prob
+    w = 1.0 / pi
+
+    rng = np.random.default_rng(seed)
+    diffs = np.empty(draws)
+    err_hats = np.empty(draws)
+    errs = np.empty(draws)
+    for d in range(draws):
+        y = mean + rng.normal(size=pop_size) * math.sqrt(sigma2)
+        e_hat = 0.0
+        e_true = 0.0
+        for prob, s in zip(p_s, samples):
+            s = list(s)
+            ws = w[s]
+            mu_hat = float(ws @ y[s]) / ws.sum()
+            err_w = float(ws @ (y[s] - mu_hat) ** 2) / pop_size
+            cov = ws * sigma2 / ws.sum()  # cov(mu_hat, y_i), exact
+            pen_term = 2.0 * float(ws @ cov) / pop_size
+            e_hat += prob * (err_w + pen_term)
+            e_true += prob * (sigma2 + (mean - mu_hat) ** 2)
+        err_hats[d] = e_hat
+        errs[d] = e_true
+        diffs[d] = e_hat - e_true
+    mc_se = float(diffs.std(ddof=1) / math.sqrt(draws))
+    return BruteForceResult(
+        e_err_hat=float(err_hats.mean()),
+        e_g_err=float(errs.mean()),
+        mc_se=mc_se,
+        draws=draws,
+    )
 
 
 class TestGeneratePopulation:
@@ -162,7 +237,10 @@ class TestFailureRule:
     @staticmethod
     def _fail_first(monkeypatch, k):
         # a failed weighted fit skips its replicate's uniform fit, so the
-        # first k fit calls are the weighted fits of replicates 0, ..., k - 1
+        # first k fit calls are the weighted fits of replicates 0, ..., k - 1.
+        # The call counter is per process: it holds only because these
+        # experiments are below the fan-out threshold and run serially
+        # (TestFanOut forces failures by replicate index instead).
         real, calls = sim.fit_weighted_glm, itertools.count()
 
         def fit(*args, **kwargs):
@@ -192,6 +270,172 @@ class TestFailureRule:
         self._fail_first(monkeypatch, failures)
         with pytest.raises(FitError, match=f"{failures}/{reps} replicates failed"):
             self._kept(experiment, reps)
+
+
+def _hex(value):
+    """Records and rows with every float replaced by its exact hex form."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hex(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    return value
+
+
+class TestFanOut:
+    """Forked workers reproduce the serial experiments bit for bit."""
+
+    SPEC = ScenarioSpec(id="s2_bern", pop_size=5000, sample_size=200)
+    CC = CaseControlSpec(sample_size=100, prevalence=0.05)
+
+    @staticmethod
+    def _workers(monkeypatch, n):
+        monkeypatch.setattr(sim, "_worker_count", lambda tasks, work: n)
+
+    def _run(self, monkeypatch, experiment, workers, reps):
+        self._workers(monkeypatch, workers)
+        if experiment == "optimism":
+            return _hex(run_optimism_experiment(self.SPEC, reps=reps, seed=5).records)
+        grid = {"sample_size": [100, 150]}
+        return _hex(run_relative_error_experiment(self.CC, grid, reps=reps, seed=5))
+
+    @staticmethod
+    def _break_reps(monkeypatch, experiment, reps):
+        """Make the listed replicates' covariate constant, so their fit is rank deficient."""
+        if experiment == "optimism":
+            real = sim.generate_population
+
+            def population(spec, seed):
+                x, y, size = real(spec, seed)
+                return (np.zeros_like(x) if seed[1] in reps else x), y, size
+
+            monkeypatch.setattr(sim, "generate_population", population)
+        else:
+            real = sim._case_control_population
+
+            def population(cc, rng):
+                x, y, cases = real(cc, rng)
+                rep = rng.bit_generator.seed_seq.entropy[-1]
+                return (np.zeros_like(x) if rep in reps else x), y, cases
+
+            monkeypatch.setattr(sim, "_case_control_population", population)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # no SE from one rep
+    @pytest.mark.parametrize("experiment", ["optimism", "relative_error"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("reps", [1, 2, 5])
+    def test_records_identical_for_any_worker_count(self, monkeypatch, experiment, workers, reps):
+        serial = self._run(monkeypatch, experiment, 1, reps)
+        assert self._run(monkeypatch, experiment, workers, reps) == serial
+
+    def test_unequal_population_sizes_keep_task_order(self, monkeypatch):
+        # cells of 1,000 and 8,000 units: the chunks are cut by work, not count
+        specs = [CaseControlSpec(sample_size=100, prevalence=p) for p in (0.05, 0.005)]
+        tasks = [(spec, 2, cell, rep) for cell, spec in enumerate(specs) for rep in range(3)]
+        sizes = [sim._case_control_pop_size(t[0]) for t in tasks]
+        assert sizes == [1000] * 3 + [8000] * 3
+        results = []
+        for workers in (1, 2, 3):
+            self._workers(monkeypatch, workers)
+            results.append(_hex(sim._map_replicates(sim._case_control_replicate, tasks, sizes)))
+        assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("experiment", ["optimism", "relative_error"])
+    def test_failure_in_a_child_keeps_the_serial_records(self, monkeypatch, experiment):
+        # with 2 workers the child computes replicate 4: the optimism chunks
+        # are reps 0-2 and 3-4, the relative-error chunks (cells of 1,000
+        # and 1,500 units) are cell 0 plus cell 1's rep 0, and the rest
+        self._break_reps(monkeypatch, experiment, {4})
+        serial = self._run(monkeypatch, experiment, 1, 5)
+        assert self._run(monkeypatch, experiment, 2, 5) == serial
+        if experiment == "optimism":
+            assert len(serial) == 4
+        else:
+            assert [row["reps"] for row in serial] == [4, 4]
+
+    @pytest.mark.parametrize("experiment", ["optimism", "relative_error"])
+    def test_too_many_failures_in_a_child_same_message(self, monkeypatch, experiment):
+        self._break_reps(monkeypatch, experiment, {3, 4})
+        for workers in (1, 2):
+            with pytest.raises(FitError, match=r"^2/5 replicates failed to fit$"):
+                self._run(monkeypatch, experiment, workers, 5)
+
+    def test_other_error_in_a_child_propagates(self, monkeypatch):
+        real = sim.generate_population
+
+        def population(spec, seed):
+            if seed[1] == 4:
+                raise RuntimeError("population 4 failed")
+            return real(spec, seed)
+
+        monkeypatch.setattr(sim, "generate_population", population)
+        with pytest.raises(RuntimeError, match="population 4 failed"):
+            self._run(monkeypatch, "optimism", 2, 5)
+        assert multiprocessing.active_children() == []
+
+    def test_below_threshold_builds_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        # 3 reps of 5,000 units: the CPU rule alone would fork 3 workers
+        assert sim._worker_count(3, sim._FORK_MIN_WORK) == 3
+        assert len(run_optimism_experiment(self.SPEC, reps=3, seed=5).records) == 3
+
+
+class TestWorkerCount:
+    WORK = 10**7
+
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch):
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+    def test_unpinned_blas_stays_serial(self):
+        assert sim._worker_count(100, self.WORK) == 1
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    @pytest.mark.parametrize("threads, workers", [("1", 4), ("2", 2), ("3", 1), ("8", 1)])
+    def test_cpus_divided_by_blas_threads(self, monkeypatch, var, threads, workers):
+        monkeypatch.setenv(var, threads)
+        assert sim._worker_count(100, self.WORK) == workers
+
+    def test_openblas_setting_wins(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        assert sim._worker_count(100, self.WORK) == 4
+
+    def test_no_more_workers_than_tasks(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert sim._worker_count(3, self.WORK) == 3
+
+    def test_below_work_threshold_serial(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert sim._worker_count(100, sim._FORK_MIN_WORK - 1) == 1
+
+    def test_other_thread_running_serial(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert sim._worker_count(100, self.WORK) == 4
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10.0,))
+        thread.start()
+        try:
+            assert sim._worker_count(100, self.WORK) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_no_fork_serial(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert sim._worker_count(100, self.WORK) == 1
 
 
 class TestBruteForceOptimism:
