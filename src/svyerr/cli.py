@@ -55,11 +55,8 @@ def load_dataset(
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SchemaError("CSV file has no header row")
-        needed = [outcome, *covariates]
-        needed.append(weight_col if weight_col is not None else pi_col)
-        for col in (strata_col, psu_col):
-            if col is not None:
-                needed.append(col)
+        design_col = weight_col if weight_col is not None else pi_col
+        needed = [c for c in (outcome, *covariates, design_col, strata_col, psu_col) if c is not None]
         missing = [c for c in needed if c not in reader.fieldnames]
         if missing:
             raise SchemaError(f"missing column(s): {', '.join(missing)}")
@@ -89,16 +86,10 @@ def load_dataset(
     strata = np.array([r[strata_col] for r in kept]) if strata_col else None
     psu = np.array([r[psu_col] for r in kept]) if psu_col else None
     try:
-        if pi_col is not None:
-            design = SurveyDesign(
-                pi=numeric(pi_col), strata=strata, psu=psu,
-                pop_size=hajek_n, hajek=hajek_n is not None,
-            )
-        else:
-            design = SurveyDesign.from_weights(
-                numeric(weight_col), strata=strata, psu=psu,
-                pop_size=hajek_n, hajek=hajek_n is not None,
-            )
+        design = SurveyDesign(
+            **{"weights" if pi_col is None else "pi": numeric(design_col)},
+            strata=strata, psu=psu, pop_size=hajek_n, hajek=hajek_n is not None,
+        )
     except DesignError as exc:
         raise SchemaError(str(exc)) from exc
     return X, y, design
@@ -225,6 +216,13 @@ def cmd_knn(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svyerr",
@@ -250,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="hte-analytic")
     p_fit.add_argument("--B", type=int, default=200)
     p_fit.add_argument("--interval-runs", type=int, default=100)
-    p_fit.add_argument("--seed", type=int, required=True)
+    p_fit.add_argument("--seed", type=_seed, required=True)
     p_fit.add_argument("--out-json")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -259,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--pop", type=int, default=100_000)
     p_sim.add_argument("--n", type=int, default=1_000)
     p_sim.add_argument("--reps", type=int, default=1_000)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--seed", type=_seed, required=True)
     p_sim.add_argument("--out-csv")
     p_sim.add_argument("--out-json")
     p_sim.set_defaults(func=cmd_simulate)
@@ -268,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_args(p_knn)
     p_knn.add_argument("--k", type=int, nargs="+", default=[10, 20, 30, 40])
     p_knn.add_argument("--B", type=int, default=200)
-    p_knn.add_argument("--seed", type=int, required=True)
+    p_knn.add_argument("--seed", type=_seed, required=True)
     p_knn.add_argument("--out-csv")
     p_knn.set_defaults(func=cmd_knn)
 
@@ -283,7 +281,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (FitError, DesignError, fam.DomainError, ValueError) as exc:
+    except (FitError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

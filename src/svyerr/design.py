@@ -1,7 +1,8 @@
 """Complex sampling designs and the score-covariance "meat" matrix.
 
-A :class:`SurveyDesign` carries inclusion probabilities, weights and the
-stratum/PSU structure of the sample.  The meat builders return the
+A :class:`SurveyDesign` carries the sampling weights (given directly or as
+inverse inclusion probabilities) and the stratum/PSU structure of the
+sample, and owns the Horvitz-Thompson mean.  The meat builders return the
 estimated covariance of the weighted score: a plain inverse-probability
 outer-product sum for independent samples, or the stratified block form
 with raw within-PSU blocks and mean-centered cross-PSU blocks.
@@ -9,7 +10,7 @@ with raw within-PSU blocks and mean-centered cross-PSU blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -41,31 +42,36 @@ class MeatStructure(str, Enum):
 class SurveyDesign:
     """Sample-level description of a complex sampling design.
 
+    Built from exactly one of ``pi``, inclusion probabilities in (0, 1]
+    stored as 1/pi, and ``weights``, kept as given (calibrated weights
+    below 1 included).
+
     Attributes:
-        pi: inclusion probabilities, each in (0, 1].
-        weights: sampling weights; default 1/pi.
+        weights: sampling weights, after any Hajek rescaling.
         strata: stratum label per unit (optional).
         psu: primary-sampling-unit label per unit (optional).  A PSU is the
             pair (stratum, label), so labels may repeat across strata.
         pop_size: population size N; defaults to round(sum of weights).
+        hajek: rescale the weights to sum to ``pop_size``.
     """
 
-    pi: np.ndarray
+    pi: InitVar[np.ndarray | None] = None
     weights: np.ndarray = None  # type: ignore[assignment]
     strata: np.ndarray | None = None
     psu: np.ndarray | None = None
     pop_size: float = None  # type: ignore[assignment]
     hajek: bool = field(default=False)
 
-    def __post_init__(self) -> None:
-        pi = np.asarray(self.pi, dtype=float)
-        object.__setattr__(self, "pi", pi)
-        if not np.all((pi > 0.0) & (pi <= 1.0)):  # NaN fails too
-            raise DesignError("inclusion probabilities must lie in (0, 1]")
-        w = self.weights
-        w = 1.0 / pi if w is None else np.asarray(w, dtype=float)
-        if w.shape != pi.shape:
-            raise DesignError("weights and pi must have the same length")
+    def __post_init__(self, pi) -> None:
+        if (pi is None) == (self.weights is None):
+            raise DesignError("give exactly one of pi and weights")
+        if pi is None:
+            w = np.asarray(self.weights, dtype=float)
+        else:
+            pi = np.asarray(pi, dtype=float)
+            if not np.all((pi > 0.0) & (pi <= 1.0)):  # NaN fails too
+                raise DesignError("inclusion probabilities must lie in (0, 1]")
+            w = 1.0 / pi
         if not _finite_positive(w):
             raise DesignError("weights must be finite and positive")
         if self.pop_size is not None and self.hajek:
@@ -81,13 +87,17 @@ class SurveyDesign:
             v = getattr(self, name)
             if v is not None:
                 v = np.asarray(v)
-                if v.shape != pi.shape:
-                    raise DesignError(f"{name} must have the same length as pi")
+                if v.shape != w.shape:
+                    raise DesignError(f"{name} must have the same length as the weights")
                 object.__setattr__(self, name, v)
 
     @property
     def n(self) -> int:
-        return int(self.pi.shape[0])
+        return int(self.weights.shape[0])
+
+    def mean(self, v) -> float:
+        """Horvitz-Thompson mean (1/N) sum_i w_i v_i."""
+        return float(self.weights @ v) / self.pop_size
 
     @classmethod
     def uniform(cls, n: int, pop_size: float | None = None) -> "SurveyDesign":
@@ -96,10 +106,8 @@ class SurveyDesign:
             return cls(pi=np.ones(n))
         return cls(pi=np.full(n, n / float(pop_size)), pop_size=float(pop_size))
 
-    @classmethod
-    def from_weights(cls, weights, **kwargs) -> "SurveyDesign":
-        w = np.asarray(weights, dtype=float)
-        return cls(pi=np.minimum(1.0, 1.0 / w), weights=w, **kwargs)
+
+del SurveyDesign.pi  # the InitVar default left behind: design.pi must fail, not read None
 
 
 def psu_cells(design: SurveyDesign) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +141,7 @@ def meat_independent(X, residuals, design: SurveyDesign) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(residuals, dtype=float)
-    if X.shape[0] != r.shape[0] or r.shape != design.pi.shape:
+    if X.shape[0] != r.shape[0] or r.shape != design.weights.shape:
         raise DesignError("X, residuals, and design must align")
     A = X * (design.weights * r)[:, None]
     V = A.T @ A / design.pop_size**2
@@ -163,7 +171,7 @@ def meat_stratified_cluster(X, residuals, design: SurveyDesign) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(residuals, dtype=float)
-    if X.shape[0] != r.shape[0] or r.shape != design.pi.shape:
+    if X.shape[0] != r.shape[0] or r.shape != design.weights.shape:
         raise DesignError("X, residuals, and design must align")
     cell, stratum_of_cell = psu_cells(design)
     n_cells, n_strata = len(stratum_of_cell), int(stratum_of_cell.max()) + 1

@@ -52,7 +52,6 @@ class GlmFit:
     theta: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
-    z: np.ndarray  # working response lam + (y - mu) dlam/dmu at mu-hat
     sigma_m: np.ndarray
     design: SurveyDesign
     family: Family
@@ -262,8 +261,6 @@ def fit_weighted_glm(
     if block.errors[0] is not None:
         raise FitError(block.errors[0])
     theta, mu, lam = block.theta[0], block.mu[0], block.lam[0]
-    w = design.weights
-    N = design.pop_size
 
     separation = bool(
         family.kind is not FamilyKind.GAUSSIAN
@@ -274,19 +271,17 @@ def fit_weighted_glm(
 
     fitted_family = family
     if family.kind is FamilyKind.GAUSSIAN and estimate_dispersion:
-        sigma2 = float(w @ (y - mu) ** 2 / w.sum())
+        sigma2 = float(design.weights @ (y - mu) ** 2 / design.weights.sum())
         if sigma2 <= 0.0:
             sigma2 = np.finfo(float).tiny
         fitted_family = family.with_dispersion(sigma2)
 
     loss = fam.Loss(fam.LossKind.DEVIANCE, fitted_family)
-    dev_w = float(w @ fam.loss_q(loss, y, mu)) / N
     v = np.asarray(fam.unit_variance(fitted_family, mu))
     return GlmFit(
         theta=theta,
         mu=mu,
         lam=lam,
-        z=lam + (y - mu) / v,
         sigma_m=v,
         design=design,
         family=fitted_family,
@@ -294,7 +289,7 @@ def fit_weighted_glm(
         y=y,
         converged=True,
         iterations=int(block.iterations[0]),
-        deviance_weighted=dev_w,
+        deviance_weighted=design.mean(fam.loss_q(loss, y, mu)),
         separation=separation,
     )
 

@@ -85,9 +85,7 @@ _BLOCK = 32
 def in_sample_error(loss: Loss, y, mu_hat, design: SurveyDesign | None = None) -> float:
     """Mean loss on the training data: uniform, or HT-weighted over N."""
     q = np.asarray(fam.loss_q(loss, y, mu_hat))
-    if design is None:
-        return float(q.mean())
-    return float(design.weights @ q) / design.pop_size
+    return float(q.mean()) if design is None else design.mean(q)
 
 
 def cov_lambda_y_elementwise(fit: GlmFit, model_based: bool = False) -> np.ndarray:
@@ -125,20 +123,18 @@ def hte_analytic(
     scale, HT-weighted deviance + 2 tr(J V); the deviance differs from
     -2 l-hat by a theta-free saturated-model constant.
     """
-    if not fit.converged:
-        raise FitError("penalty requires a converged fit")
     if loss is None:
         loss = Loss(LossKind.DEVIANCE, fit.family)
     sw = sandwich_variance(fit, structure)
     tr_jv = sw.trace_JV
-    w = fit.design.weights
-    N = fit.design.pop_size
+    design = fit.design
 
     if loss.kind is LossKind.DEVIANCE:
         err_w = fit.deviance_weighted
         if model_based:
             cov = cov_lambda_y_elementwise(fit, model_based=True)
-            omega = 2.0 * float(w @ cov) / (N * fit.family.dispersion)
+            # one division by N phi, where design.mean(cov) / phi would round twice
+            omega = 2.0 * float(design.weights @ cov) / (design.pop_size * fit.family.dispersion)
         else:
             omega = 2.0 * tr_jv
     elif loss.kind is LossKind.SQUARED_ERROR:
@@ -147,9 +143,8 @@ def hte_analytic(
                 "squared-error penalty uses the elementwise covariance, which "
                 "is only available for the independent meat structure"
             )
-        err_w = float(w @ (fit.y - fit.mu) ** 2) / N
-        cov_mu = fit.sigma_m * cov_lambda_y_elementwise(fit, model_based=model_based)
-        omega = 2.0 * float(w @ cov_mu) / N
+        err_w = in_sample_error(loss, fit.y, fit.mu, design)
+        omega = 2.0 * design.mean(fit.sigma_m * cov_lambda_y_elementwise(fit, model_based=model_based))
     else:
         raise ValueError("analytic penalty is available for deviance and squared error only")
 
@@ -172,12 +167,8 @@ def aic_naive(fit_unweighted: GlmFit) -> float:
     Expects a fit with uniform weights (the "naive" analysis that ignores
     the design).
     """
-    n = fit_unweighted.n
-    dev_mean = float(np.mean(
-        fam.loss_q(Loss(LossKind.DEVIANCE, fit_unweighted.family),
-                   fit_unweighted.y, fit_unweighted.mu)
-    ))
-    return dev_mean + 2.0 * fit_unweighted.p / n
+    f = fit_unweighted
+    return in_sample_error(Loss(LossKind.DEVIANCE, f.family), f.y, f.mu) + 2.0 * f.p / f.n
 
 
 def estimate_dispersion(fit: GlmFit) -> tuple[float, float]:
@@ -272,7 +263,7 @@ def hte_bootstrap(
         raise FitError(f"{dropped}/{B} bootstrap replicates failed to train")
 
     cov_i = phi_hat * (sum_lam_e - sum_lam * sum_e / kept) / (kept - 1)
-    omega = 2.0 * float(design.weights @ cov_i) / design.pop_size
+    omega = 2.0 * design.mean(cov_i)
     err_w = in_sample_error(loss, y, base.mu[0], design)
     return PenaltyReport(
         err_weighted=err_w,

@@ -59,6 +59,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.id not in SCENARIO_IDS:
             raise ValueError(f"unknown scenario {self.id!r}")
+        if self.sample_size < 3:  # the [1, x] fit needs more rows than parameters
+            raise ValueError(f"sample size must be at least 3, got {self.sample_size}")
         if not self.sample_size < self.pop_size:
             raise ValueError("sample size must be below the population size")
 

@@ -189,6 +189,16 @@ class TestCmdFit:
         assert code == 3
         assert f"--interval-runs must be at least 1, got {runs}" in capsys.readouterr().err
 
+    def test_negative_seed_rejected_at_parse_time(self, logistic_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "fit", "--data", logistic_csv, "--outcome", "y", "--covariates", "x1",
+                "--weights", "w", "--family", "bernoulli", "--method", "hte-bootstrap",
+                "--seed", "-5",
+            ])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got '-5'" in capsys.readouterr().err
+
     @staticmethod
     def _clustered_csv(path, psu_per_stratum=(4, 4, 4), reuse_labels=False):
         # string labels as the CLI reads them; PSU labels unique across
@@ -364,14 +374,34 @@ class TestCmdSimulate:
         assert agg["replicates"] == 1
         assert agg["optimism"]["mean"] == pytest.approx(float(row["optimism"]))
 
-    def test_every_replicate_failing_numeric_exit(self, capsys):
-        # a sample of 2 cannot fit 2 parameters, so the one replicate fails
+    def test_every_replicate_failing_numeric_exit(self, capsys, monkeypatch):
+        # every sample that ScenarioSpec admits fits [1, x], so the fit is made to fail
+        def failing_fit(*args):
+            raise fit.FitError("forced failure")
+
+        monkeypatch.setattr(sim, "_fit_replicate", failing_fit)
         code = main([
-            "simulate", "--scenario", "s1", "--pop", "10", "--n", "2",
+            "simulate", "--scenario", "s1", "--pop", "10", "--n", "3",
             "--reps", "1", "--seed", "1",
         ])
         assert code == 3
         assert "numerical error: 1/1 replicates failed to fit" in capsys.readouterr().err
+
+    def test_negative_seed_rejected_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", "s1", "--pop", "1000", "--n", "50",
+                  "--reps", "2", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["-3", "0", "2"])
+    def test_sample_size_below_three_numeric_exit(self, capsys, n):
+        code = main([
+            "simulate", "--scenario", "s1", "--pop", "1000", "--n", n,
+            "--reps", "2", "--seed", "1",
+        ])
+        assert code == 3
+        assert f"numerical error: sample size must be at least 3, got {n}" in capsys.readouterr().err
 
     def test_csv_reaggregates_to_json(self, tmp_path):
         out_csv = tmp_path / "r.csv"
@@ -484,6 +514,15 @@ class TestCmdKnn:
         captured = capsys.readouterr()
         assert "schema error: --k repeats a neighbour count: 5 5" in captured.err
         assert captured.out == ""
+
+    def test_negative_seed_rejected_at_parse_time(self, logistic_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "knn", "--data", logistic_csv, "--outcome", "y", "--covariates", "x1",
+                "--weights", "w", "--k", "5", "--B", "10", "--seed", "-1",
+            ])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
     def test_non_binary_outcome_schema_exit(self, gaussian_csv):
         code = main([

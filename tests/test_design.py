@@ -1,5 +1,6 @@
 """Survey designs, HT totals, PSU cells, and the score-covariance meat matrices."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -62,31 +63,61 @@ class TestSurveyDesign:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(DesignError):
-            SurveyDesign(pi=np.array([0.5, 0.5]), weights=np.array([1.0, -1.0]))
+            SurveyDesign(weights=np.array([1.0, -1.0]))
 
     @pytest.mark.parametrize("kwargs", [
         {"pi": np.array([np.nan, 0.5])},
-        {"pi": np.array([0.5, 0.5]), "weights": np.array([np.nan, 2.0])},
-        {"pi": np.array([0.5, 0.5]), "weights": np.array([np.inf, 2.0])},
+        {"weights": np.array([np.nan, 2.0])},
+        {"weights": np.array([np.inf, 2.0])},
         {"pi": np.array([0.5, 0.5]), "pop_size": np.nan},
         {"pi": np.array([0.5, 0.5]), "pop_size": -4.0},
         {"pi": np.array([0.5, 0.5]), "pop_size": 0.0, "hajek": True},
         {"pi": np.array([0.5, 0.5]), "pop_size": -1.0, "hajek": True},
         # raw weights that a negative rescaling would make positive
-        {"pi": np.array([0.5, 0.5]), "weights": np.array([-2.0, -2.0]),
-         "pop_size": 8.0, "hajek": True},
+        {"weights": np.array([-2.0, -2.0]), "pop_size": 8.0, "hajek": True},
     ])
     def test_non_finite_or_non_positive_numbers_rejected(self, kwargs):
         with pytest.raises(DesignError, match="must"):
             SurveyDesign(**kwargs)
 
     def test_from_weights(self):
-        d = SurveyDesign.from_weights([4.0, 2.0])
-        np.testing.assert_allclose(d.pi, [0.25, 0.5])
+        # weights are kept bit for bit, calibrated weights below 1 included
+        w = np.array([4.0, 0.7, 2.3, 1.0 / 3.0])
+        d = SurveyDesign(weights=w)
+        assert [v.hex() for v in d.weights] == [v.hex() for v in w]
+        assert d.pop_size == float(np.round(w.sum())) == 7.0
+        assert d.n == 4
+
+    def test_weights_are_the_only_stored_representation(self):
+        d = SurveyDesign(pi=np.array([0.25, 0.5]))
+        assert not hasattr(d, "pi")
+        assert not hasattr(SurveyDesign, "from_weights")
+        assert [f.name for f in dataclasses.fields(d)] == [
+            "weights", "strata", "psu", "pop_size", "hajek"]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"pi": np.array([0.5, 0.5]), "weights": np.array([2.0, 2.0])},
+        {},
+        {"pop_size": 4.0},
+    ])
+    def test_exactly_one_of_pi_and_weights(self, kwargs):
+        with pytest.raises(DesignError, match="exactly one of pi and weights"):
+            SurveyDesign(**kwargs)
+
+    def test_hajek_rescaling_of_weights(self):
+        d = SurveyDesign(weights=np.array([1.0, 3.0]), pop_size=10.0, hajek=True)
+        np.testing.assert_array_equal(d.weights, [2.5, 7.5])
+        assert d.pop_size == 10.0
+
+    def test_mean_is_ht_mean(self):
+        rng = np.random.default_rng(3)
+        d = SurveyDesign(weights=rng.uniform(0.5, 9.0, size=50), pop_size=213.0)
+        v = rng.normal(size=50)
+        assert d.mean(v).hex() == (float(d.weights @ v) / 213.0).hex()
 
     def test_uniform(self):
         d = SurveyDesign.uniform(5, pop_size=20)
-        np.testing.assert_allclose(d.pi, 0.25)
+        np.testing.assert_allclose(d.weights, 4.0)
         assert d.pop_size == 20.0
 
 
@@ -130,9 +161,10 @@ class TestHtTotal:
         assert est == pytest.approx(values.sum(), abs=1e-10)
 
     def test_length_mismatch(self):
-        # weights that do not align with pi never reach a total
-        with pytest.raises(DesignError, match="same length"):
-            SurveyDesign(pi=np.array([0.5, 0.5]), weights=np.array([2.0]))
+        # labels that do not align with the weights never reach a total
+        for labels in ("strata", "psu"):
+            with pytest.raises(DesignError, match=f"{labels} must have the same length as the weights"):
+                SurveyDesign(weights=np.array([2.0, 2.0]), **{labels: np.array([1])})
 
 
 class TestPsuCells:

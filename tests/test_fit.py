@@ -231,7 +231,7 @@ class TestFitWeightedGlm:
         mu0 = 1.0 / (1.0 + np.exp(-(X @ np.array([-0.3, 0.8]))))
         y = (rng.random(n) < mu0).astype(float)
         w = rng.uniform(1.0, 5.0, size=n)
-        d = SurveyDesign.from_weights(w)
+        d = SurveyDesign(weights=w)
         f = fit_weighted_glm(X, y, BERN, d)
 
         # independent Newton iteration on the weighted log-likelihood
@@ -284,8 +284,8 @@ class TestFitWeightedGlm:
         rng = np.random.default_rng(6)
         X, y, d0 = _random_instance(rng)
         w = d0.weights
-        d = SurveyDesign(pi=d0.pi, weights=w, pop_size=w.sum())
-        d_scaled = SurveyDesign(pi=d0.pi, weights=10.0 * w, pop_size=10.0 * w.sum())
+        d = SurveyDesign(weights=w, pop_size=w.sum())
+        d_scaled = SurveyDesign(weights=10.0 * w, pop_size=10.0 * w.sum())
         f1 = fit_weighted_glm(X, y, GAUSS, d)
         f2 = fit_weighted_glm(X, y, GAUSS, d_scaled)
         np.testing.assert_allclose(f1.theta, f2.theta, atol=1e-10)
@@ -328,26 +328,6 @@ class TestFitWeightedGlm:
         assert f.family.dispersion == pytest.approx(want)
 
 
-class TestWorkingResidual:
-    def test_gaussian_is_outcome(self):
-        rng = np.random.default_rng(9)
-        X, y, d = _random_instance(rng)
-        f = fit_weighted_glm(X, y, GAUSS, d, estimate_dispersion=False)
-        np.testing.assert_allclose(f.z, y, atol=1e-12)
-
-    def test_bernoulli_hand_value(self):
-        # intercept-only fit to y = (1, 0): mu = 0.5, z = 0 +- 0.5/0.25 = +-2
-        f = fit_weighted_glm(np.ones((2, 1)), np.array([1.0, 0.0]), BERN,
-                             SurveyDesign.uniform(2))
-        np.testing.assert_allclose(f.z, [2.0, -2.0], atol=1e-9)
-
-    def test_poisson_zero_residual(self):
-        f = fit_weighted_glm(np.ones((2, 1)), np.array([3.0, 3.0]), POIS,
-                             SurveyDesign.uniform(2))
-        np.testing.assert_allclose(f.z, f.lam, atol=1e-9)
-        assert f.z[0] == pytest.approx(np.log(3.0))
-
-
 def _manual_fit(family, mu, y, X=None, design=None, sigma_m=None):
     """Assemble a GlmFit directly for formula-level tests."""
     from svyerr import families as fam
@@ -361,7 +341,6 @@ def _manual_fit(family, mu, y, X=None, design=None, sigma_m=None):
         theta=np.zeros(X.shape[1]),
         mu=np.asarray(mu, dtype=float),
         lam=lam,
-        z=lam + (y - mu) / v,
         sigma_m=v,
         design=design,
         family=family,

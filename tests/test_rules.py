@@ -251,7 +251,7 @@ class TestKnnPredict:
     def test_weighted_vote(self):
         X = np.array([[0.0], [0.2], [40.0]])
         y = np.array([1.0, 0.0, 1.0])
-        d = SurveyDesign.from_weights([3.0, 1.0, 1.0])
+        d = SurveyDesign(weights=[3.0, 1.0, 1.0])
         model = knn_train(X, y, d, k=2)
         assert knn_predict(model, [[0.1]])[0] == pytest.approx(0.75)
 
@@ -259,7 +259,7 @@ class TestKnnPredict:
         rng = np.random.default_rng(5)
         X, y, d = _binary_data(rng, n=35)
         perm = rng.permutation(35)
-        d_perm = SurveyDesign(pi=d.pi[perm])
+        d_perm = SurveyDesign(weights=d.weights[perm])
         m1 = knn_train(X, y, d, k=5)
         m2 = knn_train(X[perm], y[perm], d_perm, k=5)
         query = rng.normal(size=(8, 2))

@@ -131,13 +131,18 @@ class TestGeneratePopulation:
         with pytest.raises(ValueError):
             ScenarioSpec(id="s1", pop_size=10, sample_size=10)
 
+    @pytest.mark.parametrize("n", [-3, 0, 2])
+    def test_sample_too_small_to_fit_rejected(self, n):
+        with pytest.raises(ValueError, match=f"sample size must be at least 3, got {n}"):
+            ScenarioSpec(id="s1", pop_size=1000, sample_size=n)
+
 
 class TestDrawSample:
     def test_uniform_sizes_give_equal_probabilities(self):
         pop = (np.zeros(20), np.zeros(20), np.ones(20))
         idx, design = draw_sample(pop, 5, seed=0)
         assert len(idx) == 5
-        np.testing.assert_allclose(design.pi, 0.25)
+        np.testing.assert_allclose(design.weights, 4.0)
 
     def test_fixed_sample_size_every_draw(self):
         rng = np.random.default_rng(0)
@@ -151,14 +156,14 @@ class TestDrawSample:
         m = np.arange(1.0, 11.0)
         pop = (np.zeros(10), np.zeros(10), m)
         idx, design = draw_sample(pop, 3, seed=1)
-        np.testing.assert_allclose(design.pi, np.minimum(1.0, 3.0 * m[idx] / m.sum()))
+        np.testing.assert_allclose(design.weights, 1.0 / np.minimum(1.0, 3.0 * m[idx] / m.sum()))
 
     def test_deterministic(self):
         pop = (np.zeros(40), np.zeros(40), np.linspace(1, 2, 40))
         i1, d1 = draw_sample(pop, 10, seed=5)
         i2, d2 = draw_sample(pop, 10, seed=5)
         np.testing.assert_array_equal(i1, i2)
-        np.testing.assert_array_equal(d1.pi, d2.pi)
+        np.testing.assert_array_equal(d1.weights, d2.weights)
 
 
 class TestRunOptimismExperiment:
