@@ -141,6 +141,8 @@ def cmd_fit(args) -> int:
     structure = MeatStructure.STRATIFIED_CLUSTER if args.psu else MeatStructure.INDEPENDENT
     interval = {}
     if args.method == "hte-bootstrap":
+        # the sandwich first: a design its meat rejects fails before any refit
+        sw = sandwich_variance(f, structure)
         # seed gives the reported penalty; seed + 1, ... re-run it under
         # independent seeds for an empirical interval on the estimate
         rule = pen.glm_rule(X, design, family, loss)
@@ -154,7 +156,6 @@ def cmd_fit(args) -> int:
             "q025": float(np.quantile(phats, 0.025)),
             "q975": float(np.quantile(phats, 0.975)),
         }
-        sw = sandwich_variance(f, structure)
     else:
         report = pen.hte_analytic(f, loss=loss, structure=structure)
         sw = report.sandwich

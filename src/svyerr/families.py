@@ -177,9 +177,11 @@ def _unit_deviance(family: Family, y, mu):
         return (y - mu) ** 2 / family.dispersion
     if family.kind is FamilyKind.BERNOULLI:
         if np.all((y == 0.0) | (y == 1.0)):
-            # y log y and (1-y) log(1-y) vanish for 0/1 outcomes; 0.0 - a keeps
+            # y log y and (1-y) log(1-y) vanish for 0/1 outcomes, and of the
+            # other two terms only the log of the fitted probability of the
+            # observed outcome is non-zero: one log per unit.  0.0 - a keeps
             # the sign of a zero deviance that the four-term sum gives
-            return 2.0 * (0.0 - _xlogy(y, mu) - _xlogy(1.0 - y, 1.0 - mu))
+            return 2.0 * (0.0 - _xlogy(1.0, np.where(y == 1.0, mu, 1.0 - mu)))
         return 2.0 * (
             _xlogy(y, y) - _xlogy(y, mu)
             + _xlogy(1.0 - y, 1.0 - y) - _xlogy(1.0 - y, 1.0 - mu)
@@ -191,8 +193,10 @@ def loss_q(loss: Loss, y, mu_hat):
     """Pointwise loss Q(y, mu_hat).
 
     Deviance equals the family's unit deviance; squared error is
-    (y - mu_hat)^2.  Bernoulli deviance at a boundary prediction with
-    the opposite outcome returns +inf rather than raising.
+    (y - mu_hat)^2.  Bernoulli deviance does not raise outside the open
+    mean domain: mu_hat is clipped to [0, 1], so a boundary prediction
+    with an outcome in [0, 1] it rules out gets +inf from log(0).  An
+    outcome outside [0, 1] gives NaN at every mu_hat.
     """
     y = np.asarray(y, dtype=float)
     mu_hat = np.asarray(mu_hat, dtype=float)
@@ -204,11 +208,8 @@ def loss_q(loss: Loss, y, mu_hat):
         fam = loss.family
         assert fam is not None
         if fam.kind is FamilyKind.BERNOULLI:
-            # endpoints produce an infinite loss sentinel, not an exception
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = _unit_deviance(fam, y, np.clip(mu_hat, 0.0, 1.0))
-            bad = ((mu_hat <= 0.0) & (y > 0.0)) | ((mu_hat >= 1.0) & (y < 1.0))
-            out = np.where(bad, np.inf, out)
         else:
             _check_mean_domain(fam, mu_hat)
             out = _unit_deviance(fam, y, mu_hat)

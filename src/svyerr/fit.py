@@ -146,24 +146,28 @@ class IrlsBlock:
     errors: list
 
 
-def irls(X, Y, family: Family, design: SurveyDesign) -> IrlsBlock:
+def irls(X, Y, family: Family, design: SurveyDesign, *, _basis=None) -> IrlsBlock:
     """HT-weighted IRLS on each row of the (m, n) outcome block ``Y``.
 
     Every row follows its own path, the path a one-row fit would take: a
     cold start from the outcomes, an unconditional first step, then up to
     30 step halvings that keep its weighted deviance non-increasing, and
-    a stop once max |score| <= TOL_SCORE times its score scale.  Active
+    a stop once max |score| <= TOL_SCORE times its score scale.  The first
+    step is accepted whatever its deviance, so the start has none.  Active
     rows are solved together by batched normal equations; converged rows
     leave the active set.  A row whose model variance degenerates, whose
     normal equations are singular, whose halving fails or that does not
     converge in MAX_ITER iterations is a failed row, not a failed block.
     Only a rank-deficient design raises.
+
+    ``_basis`` is ``_solve_basis(X, design.weights)`` when the caller
+    already holds it (a prediction rule retraining on many blocks).
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     (m, n), p = Y.shape, X.shape[1]
     w = design.weights
-    Bt, M = _solve_basis(X, w)
+    Bt, M = _solve_basis(X, w) if _basis is None else _basis
     deviance = fam.Loss(fam.LossKind.DEVIANCE, family)
     out = IrlsBlock(
         theta=np.full((m, p), np.nan), mu=np.full((m, n), np.nan), lam=np.full((m, n), np.nan),
@@ -176,7 +180,7 @@ def irls(X, Y, family: Family, design: SurveyDesign) -> IrlsBlock:
     theta = np.zeros((m, p))
     mu = _initial_mu(family, Y)
     lam = np.asarray(fam.mean_to_natural(family, mu))
-    dev = fam.loss_q(deviance, Y, mu) @ w
+    dev = np.full(m, np.inf)  # no deviance to beat before the unconditional first step
 
     def leave(keep, message):
         """Drop the rows outside ``keep`` from the iteration, failed with ``message``."""
@@ -217,6 +221,9 @@ def irls(X, Y, family: Family, design: SurveyDesign) -> IrlsBlock:
                 break
             step[todo] /= 2.0
         theta, lam, mu, dev = cand, lam_c, mu_c, dev_c
+        # drop the second names, so the full-size arrays go as soon as rows
+        # leave instead of living on into the next iteration's normal equations
+        del cand, lam_c, mu_c, dev_c
         if todo.size:
             ok = np.ones(k, dtype=bool)
             ok[todo] = False

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import design as dsn
 from . import families as fam
+from . import fit as fitting
 from .design import MeatStructure, SurveyDesign
 from .families import Family, FamilyKind, Loss, LossKind
 from .fit import FitError, GlmFit, SandwichVariance, irls, sandwich_variance
@@ -207,10 +208,17 @@ def _draw_responses(rng: np.random.Generator, family: Family, mu: np.ndarray):
 
 
 def glm_rule(X, design: SurveyDesign, family: Family, loss: Loss) -> PredictionRule:
-    """The weighted GLM's IRLS on covariates ``X`` and ``design``, as a prediction rule."""
+    """The weighted GLM's IRLS on covariates ``X`` and ``design``, as a prediction rule.
+
+    The IRLS basis (a pivoted QR of sqrt(W) X) depends only on X and the
+    weights, so it is factored once here and shared by every block the
+    rule retrains on; a rank-deficient X raises FitError here.
+    """
+    X = np.asarray(X, dtype=float)
+    basis = fitting._solve_basis(X, design.weights)
 
     def train(Y):
-        mu = irls(X, Y, family, design).mu
+        mu = irls(X, Y, family, design, _basis=basis).mu
         lam = np.full_like(mu, np.nan)
         ok = ~np.isnan(mu).any(axis=1)
         lam[ok] = fam.lambda_hat(loss, mu[ok])

@@ -279,6 +279,23 @@ class TestCmdFit:
         assert "stratum 's1' has a single PSU" in err
         assert "np." not in err
 
+    def test_single_psu_stratum_fails_before_bootstrap(self, tmp_path, monkeypatch, capsys):
+        # the stratified meat rejects the design before a single refit
+        def never(*args, **kwargs):
+            raise AssertionError("hte_bootstrap ran on a design the meat rejects")
+
+        monkeypatch.setattr(penalty, "hte_bootstrap", never)
+        path = self._clustered_csv(tmp_path / "lonely.csv", psu_per_stratum=(3, 1, 3))
+        code = main([
+            "fit", "--data", path, "--outcome", "y", "--covariates", "x1",
+            "--weights", "w", "--family", "bernoulli", "--seed", "1",
+            "--strata", "stratum", "--psu", "cluster", "--method", "hte-bootstrap",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "stratum 's1' has a single PSU" in err
+        assert "np." not in err
+
     @pytest.mark.parametrize("method", ["hte-analytic", "hte-bootstrap"])
     def test_psu_labels_reused_across_strata_match_unique_labels(self, tmp_path, capsys,
                                                                  method):

@@ -203,6 +203,30 @@ class TestLossQ:
         got = np.asarray(loss_q(Loss(LossKind.DEVIANCE, BERN), Y, mu))
         assert [float.hex(v) for v in got[0]] == [float.hex(v) for v in four]
 
+    def test_bernoulli_deviance_endpoints_bit_identical_to_masked_four_terms(self):
+        # +inf at an endpoint prediction comes from log(0) after the clip, not
+        # from a mask: the four-term sum with the endpoint mask applied is the
+        # oracle, fractional and out-of-range predictions included.  An
+        # outcome outside [0, 1] is NaN at every prediction.
+        mu = np.array([-np.inf, -0.5, -0.0, 0.0, 5e-324, 0.3, 1.0, 1.0 + 1e-16, 1.5,
+                       np.inf, np.nan])
+        Y = np.array([0.0, 1.0, 0.25, 1e-300, 1.0 - 1e-16])
+        dev = Loss(LossKind.DEVIANCE, BERN)
+        for y in Y:
+            yy = np.full_like(mu, y)
+            m = np.clip(mu, 0.0, 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                four = 2.0 * (special.xlogy(yy, yy) - special.xlogy(yy, m)
+                              + special.xlogy(1.0 - yy, 1.0 - yy) - special.xlogy(1.0 - yy, 1.0 - m))
+            bad = ((mu <= 0.0) & (yy > 0.0)) | ((mu >= 1.0) & (yy < 1.0))
+            oracle = np.where(bad, np.inf, four)
+            got = np.asarray(loss_q(dev, yy, mu))
+            assert [float.hex(v) for v in got] == [float.hex(v) for v in oracle], y
+            scalar = [loss_q(dev, y, v) for v in mu]
+            assert [float.hex(v) for v in scalar] == [float.hex(v) for v in oracle], y
+        got = np.asarray(loss_q(dev, np.full((3, mu.size), [[-0.5], [1.5], [2.0]]), mu))
+        assert np.isnan(got).all()
+
     def test_zero_one(self):
         zo = Loss(LossKind.ZERO_ONE)
         assert loss_q(zo, 1.0, 0.4) == 1.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from svyerr import families as fam
+from svyerr import fit as fitting
 from svyerr.design import SurveyDesign
 from svyerr.families import Family, FamilyKind, Loss, LossKind
 from svyerr.fit import fit_weighted_glm, sandwich_variance
@@ -337,6 +338,33 @@ class TestHteBootstrap:
                                loss=SQERR)
         assert report.dropped_replicates == 2
         assert report.to_dict()["dropped_replicates"] == 2
+
+    def test_rule_factors_its_basis_once(self, monkeypatch):
+        # the pivoted QR of sqrt(W) X depends on X and the weights only, so the
+        # rule takes it once when built, not once per block it retrains on
+        rng = np.random.default_rng(16)
+        n = 60
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ [0.2, 0.8, -0.5]))).astype(float)
+        d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n))
+        loss = Loss(LossKind.DEVIANCE, BERN)
+        gen = fit_weighted_glm(X, y, BERN, d)
+        Y = np.stack([y, 1.0 - y, (rng.random(n) < 0.5).astype(float)])
+        alone = fitting.irls(X, Y, BERN, d)  # factors its own basis
+        calls = []
+        inner = fitting._solve_basis
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(fitting, "_solve_basis", counted)
+        rule = glm_rule(X, d, BERN, loss)
+        hte_bootstrap(rule, gen, B=100, seed=0, loss=loss)  # one base fit, four blocks
+        assert len(calls) == 1
+        mu = rule(Y).mu
+        assert len(calls) == 1
+        assert [float.hex(v) for v in mu.ravel()] == [float.hex(v) for v in alone.mu.ravel()]
 
     def test_rejects_tiny_b(self):
         rng = np.random.default_rng(15)
