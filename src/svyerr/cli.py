@@ -48,33 +48,46 @@ def load_dataset(
     psu_col: str | None = None,
     hajek_n: float | None = None,
 ):
-    """Read an RFC-4180 CSV into (X, y, design), rejecting rows with gaps."""
+    """Read an RFC-4180 CSV into (X, y, design), rejecting rows with gaps.
+
+    One pass of ``csv.reader`` keeps the needed cells of each row; rows are
+    read as ``csv.DictReader`` reads them.  Blank lines are skipped, a row
+    too short to hold every needed column counts as a row with gaps, extra
+    cells are ignored, and a header name given twice means its last column.
+    """
     if (weight_col is None) == (pi_col is None):
         raise SchemaError("exactly one of a weight column or a pi column is required")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError("CSV file has no header row")
         design_col = weight_col if weight_col is not None else pi_col
         needed = [c for c in (outcome, *covariates, design_col, strata_col, psu_col) if c is not None]
-        missing = [c for c in needed if c not in reader.fieldnames]
+        index = {name: i for i, name in enumerate(header)}  # a repeated name: the last column
+        missing = [c for c in needed if c not in index]
         if missing:
             raise SchemaError(f"missing column(s): {', '.join(missing)}")
-        rows = list(reader)
-    kept, dropped = [], 0
-    for row in rows:
-        if any(row.get(c) in (None, "") for c in needed):
-            dropped += 1
-        else:
-            kept.append(row)
+        cells = [index[c] for c in needed]
+        width = max(cells) + 1
+        kept, dropped = [], 0
+        for row in reader:
+            if not row:
+                continue
+            values = [row[i] for i in cells] if len(row) >= width else None
+            if values is None or "" in values:
+                dropped += 1
+            else:
+                kept.append(values)
     if dropped:
         print(f"dropped {dropped} row(s) with missing values", file=sys.stderr)
     if not kept:
         raise SchemaError("no complete rows in the input")
+    column = dict(zip(needed, zip(*kept)))
 
     def numeric(col):
         try:
-            v = np.array([float(r[col]) for r in kept])
+            v = np.array([float(x) for x in column[col]])
         except ValueError as exc:
             raise SchemaError(f"non-numeric value in column {col!r}: {exc}") from exc
         if not np.all(np.isfinite(v)):
@@ -83,8 +96,8 @@ def load_dataset(
 
     y = numeric(outcome)
     X = np.column_stack([np.ones(len(kept))] + [numeric(c) for c in covariates])
-    strata = np.array([r[strata_col] for r in kept]) if strata_col else None
-    psu = np.array([r[psu_col] for r in kept]) if psu_col else None
+    strata = np.array(column[strata_col]) if strata_col else None
+    psu = np.array(column[psu_col]) if psu_col else None
     try:
         design = SurveyDesign(
             **{"weights" if pi_col is None else "pi": numeric(design_col)},

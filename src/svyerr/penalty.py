@@ -243,45 +243,63 @@ def hte_bootstrap(
     The covariance comes from running sums over the kept replicates of
     lambda, e = y* - mu and lambda e, so memory does not grow with B:
     sum_b lambda_b (y*_b - ybar*) = sum lambda e - (sum lambda)(sum e) / B.
+    This is the one-rule case of :func:`_bootstrap_reports`.
+    """
+    return _bootstrap_reports([rule], gen, B, seed, loss)[0]
+
+
+def _bootstrap_reports(
+    rules: list[PredictionRule], gen: GlmFit, B: int, seed: int, loss: Loss
+) -> list[PenaltyReport]:
+    """:func:`hte_bootstrap` for several rules on one set of replicates.
+
+    Each (seed, b) block of outcomes is drawn once and phi-hat computed
+    once; every rule retrains on each block and keeps its own running
+    sums, kept count and drop check, so its report equals, bit for bit,
+    the one :func:`hte_bootstrap` gives for it alone.
     """
     if B < 2:
         raise ValueError("bootstrap needs at least two replicates")
     y, design, n = gen.y, gen.design, gen.n
     rho_hat, phi_hat = estimate_dispersion(gen) if design.psu is not None else (None, 1.0)
-    base = rule(y[None])
-    if np.isnan(base.lam).any():
+    bases = [rule(y[None]) for rule in rules]
+    if any(np.isnan(base.lam).any() for base in bases):
         raise FitError("the rule failed to train on the observed outcomes")
 
-    sum_lam, sum_e, sum_lam_e = np.zeros(n), np.zeros(n), np.zeros(n)
-    kept = 0
+    sum_lam, sum_e, sum_lam_e = (np.zeros((len(rules), n)) for _ in range(3))
+    kept = [0] * len(rules)
     for start in range(0, B, _BLOCK):
         Y = np.stack([
             _draw_responses(np.random.default_rng([seed, b]), gen.family, gen.mu)
             for b in range(start, min(start + _BLOCK, B))
         ])
-        lam = rule(Y).lam
-        ok = ~np.isnan(lam).any(axis=1)
-        lam, e = lam[ok], Y[ok] - gen.mu
-        sum_lam += lam.sum(axis=0)
-        sum_e += e.sum(axis=0)
-        sum_lam_e += (lam * e).sum(axis=0)
-        kept += int(ok.sum())
-    dropped = B - kept
-    if dropped > 0.1 * B:
-        raise FitError(f"{dropped}/{B} bootstrap replicates failed to train")
+        for r, rule in enumerate(rules):
+            lam = rule(Y).lam
+            ok = ~np.isnan(lam).any(axis=1)
+            lam, e = lam[ok], Y[ok] - gen.mu
+            sum_lam[r] += lam.sum(axis=0)
+            sum_e[r] += e.sum(axis=0)
+            sum_lam_e[r] += (lam * e).sum(axis=0)
+            kept[r] += int(ok.sum())
 
-    cov_i = phi_hat * (sum_lam_e - sum_lam * sum_e / kept) / (kept - 1)
-    omega = 2.0 * design.mean(cov_i)
-    err_w = in_sample_error(loss, y, base.mu[0], design)
-    return PenaltyReport(
-        err_weighted=err_w,
-        omega_hat=omega,
-        err_hat=err_w + omega,
-        daic=None,
-        p_hat=None,
-        method="bootstrap",
-        B=B,
-        phi_hat=phi_hat,
-        rho_hat=rho_hat,
-        dropped_replicates=dropped,
-    )
+    reports = []
+    for r, base in enumerate(bases):
+        dropped = B - kept[r]
+        if dropped > 0.1 * B:
+            raise FitError(f"{dropped}/{B} bootstrap replicates failed to train")
+        cov_i = phi_hat * (sum_lam_e[r] - sum_lam[r] * sum_e[r] / kept[r]) / (kept[r] - 1)
+        omega = 2.0 * design.mean(cov_i)
+        err_w = in_sample_error(loss, y, base.mu[0], design)
+        reports.append(PenaltyReport(
+            err_weighted=err_w,
+            omega_hat=omega,
+            err_hat=err_w + omega,
+            daic=None,
+            p_hat=None,
+            method="bootstrap",
+            B=B,
+            phi_hat=phi_hat,
+            rho_hat=rho_hat,
+            dropped_replicates=dropped,
+        ))
+    return reports

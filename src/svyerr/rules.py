@@ -89,7 +89,10 @@ def _neighbour_weights(Z, weights, k_list, Z_query=None) -> dict[int, sparse.csr
     distances, not the tree's.  A row whose farthest candidate lies
     clearly beyond it is decided by its candidates; the remaining rows,
     whose ties may reach past the candidates, share one radius query
-    filtered by the same exact distances.  Column indices come out sorted.
+    filtered by the same exact distances.  Column indices come out sorted:
+    each row's candidates are put in column order once, so a k whose rows
+    are all decided reads its CSR straight off the row-major mask
+    d2 <= thr, and only a k with tied rows sorts its (row, column) keys.
     """
     Zq = Z if Z_query is None else Z_query
     (n, p), q = Z.shape, Zq.shape[0]
@@ -101,15 +104,19 @@ def _neighbour_weights(Z, weights, k_list, Z_query=None) -> dict[int, sparse.csr
         return {k: full for k in k_list}
     tree = spatial.cKDTree(Z)
     K = min(max(k_list, default=0) + 1, n)
-    _, cand = tree.query(Zq, k=np.arange(1, K + 1))
+    cand = tree.query(Zq, k=np.arange(1, K + 1))[1]
     d2 = _squared_distances(Zq, Z, np.arange(q)[:, None], cand)
     d2_sorted = np.sort(d2, axis=1)
+    by_col = np.argsort(cand, axis=1)  # candidates are distinct, so the order is unique
+    cand, d2 = (np.take_along_axis(a, by_col, axis=1) for a in (cand, d2))
+    del by_col
     out = {}
     for k in k_list:
         kth = d2_sorted[:, k - 1]
         thr = kth + 1e-12 * (1.0 + kth)
         # 1e-9 covers the tree's own rounding of the distances it ranks by
         decided = (K == n) | (d2_sorted[:, -1] > thr * (1.0 + 1e-9))
+        # row-major, and columns ascending within each row
         rows, j = np.nonzero((d2 <= thr[:, None]) & decided[:, None])
         cols = cand[rows, j]
         tied = np.flatnonzero(~decided)
@@ -120,11 +127,10 @@ def _neighbour_weights(Z, weights, k_list, Z_query=None) -> dict[int, sparse.csr
             t_cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp,
                                  count=int(counts.sum()))
             keep = _squared_distances(Zq, Z, t_rows, t_cols) <= thr[t_rows]
-            rows = np.concatenate([rows, t_rows[keep]])
-            cols = np.concatenate([cols, t_cols[keep]])
-        key = np.sort(rows * n + cols)  # row-major, columns ascending
-        cols = key % n
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(key // n, minlength=q))])
+            # the tied rows' neighbours go back into row order by one key sort
+            key = np.sort(np.concatenate([rows * n + cols, t_rows[keep] * n + t_cols[keep]]))
+            rows, cols = key // n, key % n
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=q))])
         out[k] = sparse.csr_array((weights[cols], cols, indptr), shape=(q, n))
     return out
 
@@ -169,7 +175,9 @@ def knn_error_report(
 
     One weighted logistic fit generates the bootstrap outcomes for every k;
     it needs an intercept the distance-based rule itself does not carry.
-    One neighbour query serves every k.
+    One neighbour query serves every k, and each bootstrap block is drawn
+    once and voted through every k's neighbour weights; each k's report
+    equals ``penalty.hte_bootstrap`` on ``_vote_rule(W[k])`` bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     for k in k_list:
@@ -180,8 +188,9 @@ def knn_error_report(
         np.column_stack([np.ones(X.shape[0]), X]), y, Family(FamilyKind.BERNOULLI), design
     )
     W = _neighbour_weights(_standardize(X, design.weights)[0], design.weights, k_list)
-    loss = Loss(LossKind.ZERO_ONE)
-    return [
-        (int(k), pen.hte_bootstrap(_vote_rule(W[k]), gen, B=B, seed=seed, loss=loss))
-        for k in k_list
-    ]
+    if not k_list:
+        return []
+    reports = pen._bootstrap_reports(
+        [_vote_rule(W[k]) for k in k_list], gen, B=B, seed=seed, loss=Loss(LossKind.ZERO_ONE)
+    )
+    return [(int(k), r) for k, r in zip(k_list, reports)]

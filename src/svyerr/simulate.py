@@ -121,16 +121,19 @@ def generate_population(spec: ScenarioSpec, seed) -> tuple[np.ndarray, np.ndarra
     N = spec.pop_size
     x = rng.normal(size=N)
     sid = spec.id
+    # log(i+1): the s3 noise scale and the index-driven size measure
+    by_index = sid in ("s1", "s2_gauss", "s2_bern", "s3")
+    log_index = np.log(np.arange(1, N + 1) + 1.0) if by_index else None
     if sid.endswith("_bern"):
         y = (rng.random(N) < special.ndtr(x)).astype(float)
     elif sid == "s1":
         y = x + rng.normal(size=N)
     elif sid == "s3":
-        y = x + rng.normal(size=N) * np.log(np.arange(1, N + 1) + 1.0)
+        y = x + rng.normal(size=N) * log_index
     else:  # s2_gauss, s4a_gauss, s4b_gauss
         y = x + rng.normal(size=N) * np.abs(x)
-    if sid in ("s1", "s2_gauss", "s2_bern", "s3"):
-        size = np.log(np.arange(1, N + 1) + 1.0)
+    if by_index:
+        size = log_index
     elif sid.startswith("s4a"):
         size = np.abs(x)
         size = np.maximum(size, 1e-12)

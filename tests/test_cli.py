@@ -132,6 +132,59 @@ class TestLoadDataset:
         assert message in capsys.readouterr().err
 
 
+def _dictreader_rows(path, needed):
+    """Oracle: the header, kept rows and dropped-row count of a ``csv.DictReader`` read."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames
+        rows = list(reader) if header is not None else []
+    kept = [r for r in rows if all(r.get(c) not in (None, "") for c in needed)]
+    return header, kept, len(rows) - len(kept)
+
+
+# (name, file text): each is read as csv.DictReader would read it
+_CSV_CASES = [
+    ("blank_lines", "y,x,w,c\n1,0.5,2,a\n\n2,1.5,3,b\r\n\r\n3,2.5,4,a\n4,3.5,5,b\n\n"),
+    ("short_and_long_rows",
+     "y,x,w,c\n1,0.5,2,a\n2,1.5\n3,2.5,4,b,extra,more\n4,3.5,5\n5,4.5,6,a\n6,5.5,7,b,\n"),
+    ("repeated_header", "y,x,w,x\n1,0.5,2,9.5\n2,1.5,3,8.5\n3,2.5,4\n4,3.5,5,7.5\n5,4.5,6,\n"),
+    ("quoted_comma", 'y,x,w,c\n1,0.5,2,"a,b"\n"2","1.5","3",b\n3,2.5,4,"a,b"\n4,"",5,b\n'),
+    ("byte_order_mark", "\ufeffy,x,w,c\n1,0.5,2,a\n2,1.5,3,b\n3,2.5,4,a\n"),
+    ("leading_blank_line", "\ny,x,w,c\n1,0.5,2,a\n2,1.5,3,b\n"),
+    ("empty_file", ""),
+]
+
+
+class TestLoadDatasetMatchesDictReader:
+    @pytest.mark.parametrize("psu_col", [None, "c"])
+    @pytest.mark.parametrize("name, text", _CSV_CASES, ids=[c[0] for c in _CSV_CASES])
+    def test_same_rows_and_message(self, tmp_path, capsys, name, text, psu_col):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        if name == "repeated_header" and psu_col:
+            psu_col = "x"  # the repeated name, read from its last column
+        needed = ["y", "x", "w"] + ([psu_col] if psu_col else [])
+        header, kept, dropped = _dictreader_rows(path, needed)
+        if header is None:
+            with pytest.raises(SchemaError, match="no header row"):
+                load_dataset(str(path), "y", ["x"], "w", None, psu_col=psu_col)
+            return
+        if any(c not in header for c in needed):
+            with pytest.raises(SchemaError, match="missing column"):
+                load_dataset(str(path), "y", ["x"], "w", None, psu_col=psu_col)
+            return
+        X, y, design = load_dataset(str(path), "y", ["x"], "w", None, psu_col=psu_col)
+        err = capsys.readouterr().err
+        assert err == (f"dropped {dropped} row(s) with missing values\n" if dropped else "")
+        assert y.tolist() == [float(r["y"]) for r in kept]
+        assert X.tolist() == [[1.0, float(r["x"])] for r in kept]
+        assert design.weights.tolist() == [float(r["w"]) for r in kept]
+        if psu_col:
+            assert design.psu.tolist() == [r[psu_col] for r in kept]
+        else:
+            assert design.psu is None
+
+
 class TestCmdFit:
     def test_uniform_gaussian_effective_parameters_near_p(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

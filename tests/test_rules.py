@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import sparse, spatial
 
+from svyerr import penalty, rules
 from svyerr.design import SurveyDesign
+from svyerr.families import Family, FamilyKind, Loss, LossKind
+from svyerr.fit import fit_weighted_glm
 from svyerr.rules import _neighbour_weights, knn_error_report, knn_predict, knn_rule, knn_train
 
 
@@ -340,3 +343,74 @@ class TestKnnErrorReport:
         r1 = knn_error_report(X, y, d, [3, 5], B=25, seed=2)
         r2 = knn_error_report(X, y, d, [3, 5], B=25, seed=2)
         assert [(k, r.omega_hat) for k, r in r1] == [(k, r.omega_hat) for k, r in r2]
+
+
+def _report_bits(report):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.to_dict().items()}
+
+
+def _per_k_oracle(X, y, d, k_list, B, seed):
+    """One public ``hte_bootstrap`` per k, each redrawing its own replicates."""
+    gen = fit_weighted_glm(np.column_stack([np.ones(len(y)), X]), y, Family(FamilyKind.BERNOULLI), d)
+    W = _neighbour_weights(rules._standardize(X, d.weights)[0], d.weights, k_list)
+    loss = Loss(LossKind.ZERO_ONE)
+    return [(k, penalty.hte_bootstrap(rules._vote_rule(W[k]), gen, B, seed, loss)) for k in k_list]
+
+
+class _CountingTree(spatial.cKDTree):
+    """A k-d tree that counts its radius queries, i.e. the rows that reach the tie path."""
+
+    ball_queries = 0
+
+    def query_ball_point(self, *args, **kwargs):
+        type(self).ball_queries += 1
+        return super().query_ball_point(*args, **kwargs)
+
+
+class TestKnnErrorReportSharesReplicates:
+    @pytest.mark.parametrize("case, k_list", [
+        ("plain", [1]), ("plain", [3, 5, 9]), ("psu", [3, 5, 9]), ("tied", [3, 5, 9]),
+    ])
+    def test_equals_per_k_hte_bootstrap_bit_for_bit(self, monkeypatch, case, k_list):
+        rng = np.random.default_rng(31)
+        n = 80
+        X = rng.normal(size=(n, 2))
+        if case == "tied":  # a coarse grid: many k-th distances are shared
+            X = np.round(X)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(float)
+        psu = np.arange(n) % 8 if case == "psu" else None
+        d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n), psu=psu)
+        monkeypatch.setattr(rules.spatial, "cKDTree", _CountingTree)
+        monkeypatch.setattr(_CountingTree, "ball_queries", 0)
+        got = knn_error_report(X, y, d, k_list, B=40, seed=4)
+        assert (_CountingTree.ball_queries > 0) == (case == "tied")
+        want = _per_k_oracle(X, y, d, k_list, B=40, seed=4)
+        assert [(k, _report_bits(r)) for k, r in got] == [(k, _report_bits(r)) for k, r in want]
+        if case == "psu":
+            assert got[0][1].phi_hat != 1.0
+
+    def _count_draws(self, monkeypatch):
+        calls = []
+        draw = penalty._draw_responses
+
+        def counted(*args):
+            calls.append(None)
+            return draw(*args)
+
+        monkeypatch.setattr(penalty, "_draw_responses", counted)
+        return calls
+
+    def test_each_replicate_drawn_once_for_every_k(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        X, y, d = _binary_data(rng, n=60)
+        calls = self._count_draws(monkeypatch)
+        table = knn_error_report(X, y, d, [3, 5, 9, 15], B=40, seed=0)
+        assert [k for k, _ in table] == [3, 5, 9, 15]
+        assert len(calls) == 40
+
+    def test_empty_k_list_draws_nothing(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        X, y, d = _binary_data(rng, n=30)
+        calls = self._count_draws(monkeypatch)
+        assert knn_error_report(X, y, d, [], B=5, seed=0) == []
+        assert calls == []
