@@ -1,7 +1,7 @@
 """Command-line front end: fit, simulate and knn subcommands.
 
-Exit codes are a stable contract: 0 success, 2 schema error, 3 numerical
-failure, 4 I/O error.
+Exit codes are a stable contract: 0 success, 2 schema or usage error,
+3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -140,8 +140,6 @@ def _check_outcome_column(family: Family, y) -> None:
 
 
 def cmd_fit(args) -> int:
-    if args.method == "hte-bootstrap" and args.interval_runs < 1:
-        raise ValueError(f"--interval-runs must be at least 1, got {args.interval_runs}")
     X, y, design = load_dataset(
         args.data, args.outcome, args.covariates,
         args.weights, args.pi, args.strata, args.psu, args.hajek,
@@ -158,7 +156,7 @@ def cmd_fit(args) -> int:
         sw = sandwich_variance(f, structure)
         # seed gives the reported penalty; seed + 1, ... re-run it under
         # independent seeds for an empirical interval on the estimate
-        rule = pen.glm_rule(X, design, family, loss)
+        rule = pen.glm_rule(X, design, family)
         report, *reruns = [
             pen.hte_bootstrap(rule, f, B=args.B, seed=args.seed + s, loss=loss)
             for s in range(1 + args.interval_runs)
@@ -237,6 +235,17 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _count(minimum: int):
+    """An argparse type for a count of at least ``minimum`` (replicates, runs)."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {minimum}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svyerr",
@@ -260,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--family", choices=[k.value for k in FamilyKind], required=True)
     p_fit.add_argument("--method", choices=["hte-analytic", "hte-bootstrap"],
                        default="hte-analytic")
-    p_fit.add_argument("--B", type=int, default=200)
-    p_fit.add_argument("--interval-runs", type=int, default=100)
+    p_fit.add_argument("--B", type=_count(2), default=200)
+    p_fit.add_argument("--interval-runs", type=_count(1), default=100)
     p_fit.add_argument("--seed", type=_seed, required=True)
     p_fit.add_argument("--out-json")
     p_fit.set_defaults(func=cmd_fit)
@@ -270,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", choices=list(sim.SCENARIO_IDS), required=True)
     p_sim.add_argument("--pop", type=int, default=100_000)
     p_sim.add_argument("--n", type=int, default=1_000)
-    p_sim.add_argument("--reps", type=int, default=1_000)
+    p_sim.add_argument("--reps", type=_count(1), default=1_000)
     p_sim.add_argument("--seed", type=_seed, required=True)
     p_sim.add_argument("--out-csv")
     p_sim.add_argument("--out-json")
@@ -279,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_knn = sub.add_parser("knn", help="kNN error table under 0-1 loss")
     add_data_args(p_knn)
     p_knn.add_argument("--k", type=int, nargs="+", default=[10, 20, 30, 40])
-    p_knn.add_argument("--B", type=int, default=200)
+    p_knn.add_argument("--B", type=_count(2), default=200)
     p_knn.add_argument("--seed", type=_seed, required=True)
     p_knn.add_argument("--out-csv")
     p_knn.set_defaults(func=cmd_knn)

@@ -52,7 +52,7 @@ class SurveyDesign:
         psu: primary-sampling-unit label per unit (optional).  A PSU is the
             pair (stratum, label), so labels may repeat across strata.
         pop_size: population size N; defaults to round(sum of weights).
-        hajek: rescale the weights to sum to ``pop_size``.
+        hajek: rescale the weights to sum to ``pop_size``, which must be given.
     """
 
     pi: InitVar[np.ndarray | None] = None
@@ -74,7 +74,9 @@ class SurveyDesign:
             w = 1.0 / pi
         if not _finite_positive(w):
             raise DesignError("weights must be finite and positive")
-        if self.pop_size is not None and self.hajek:
+        if self.hajek:
+            if self.pop_size is None:
+                raise DesignError("Hajek rescaling needs the population size pop_size")
             w = w * (float(self.pop_size) / w.sum())
         pop_size = float(np.round(w.sum()) if self.pop_size is None else self.pop_size)
         # after the Hajek rescaling, which a zero or negative N turns into

@@ -6,7 +6,9 @@ elementwise form that sums per-unit covariances between the fitted
 natural parameter and the outcome.  A parametric bootstrap covers
 prediction rules with no analytic covariance (for example kNN under 0-1
 loss): ``hte_bootstrap(rule, gen, B, seed, loss)`` draws blocks Y of
-outcome rows from the generating fit ``gen`` and calls ``rule(Y) -> RuleFit``.
+outcome rows from the generating fit ``gen`` and calls ``rule(Y)``, which
+returns the rule's in-sample fitted means; the bootstrap alone maps them
+to the penalty-side parameter lambda-hat of ``loss``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .fit import FitError, GlmFit, SandwichVariance, irls, sandwich_variance
 
 __all__ = [
     "PenaltyReport",
-    "RuleFit",
     "in_sample_error",
     "cov_lambda_y_elementwise",
     "hte_analytic",
@@ -61,23 +62,10 @@ class PenaltyReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "sandwich"}
 
 
-@dataclass(frozen=True)
-class RuleFit:
-    """In-sample output of a prediction rule trained on m outcome rows.
-
-    ``mu`` holds fitted means and ``lam`` the rule's penalty-side
-    parameter for its loss (natural parameter for deviance, mu for
-    squared error, +-1 for 0-1 loss), both of shape (m, n).  A row that
-    failed to train is a row of NaN in ``lam``.
-    """
-
-    mu: np.ndarray
-    lam: np.ndarray
-
-
 # a prediction rule, built on its covariates and design, trains on an (m, n)
-# block Y of outcome rows; it does not raise for a row that fails to train
-PredictionRule = Callable[[np.ndarray], RuleFit]
+# block Y of outcome rows and returns the (m, n) in-sample fitted means; it
+# does not raise for a row that fails to train, which comes back as NaN
+PredictionRule = Callable[[np.ndarray], np.ndarray]
 
 # bootstrap replicates per rule call: memory is O(_BLOCK * n) for any B
 _BLOCK = 32
@@ -207,7 +195,7 @@ def _draw_responses(rng: np.random.Generator, family: Family, mu: np.ndarray):
     return rng.poisson(mu).astype(float)
 
 
-def glm_rule(X, design: SurveyDesign, family: Family, loss: Loss) -> PredictionRule:
+def glm_rule(X, design: SurveyDesign, family: Family) -> PredictionRule:
     """The weighted GLM's IRLS on covariates ``X`` and ``design``, as a prediction rule.
 
     The IRLS basis (a pivoted QR of sqrt(W) X) depends only on X and the
@@ -218,11 +206,7 @@ def glm_rule(X, design: SurveyDesign, family: Family, loss: Loss) -> PredictionR
     basis = fitting._solve_basis(X, design.weights)
 
     def train(Y):
-        mu = irls(X, Y, family, design, _basis=basis).mu
-        lam = np.full_like(mu, np.nan)
-        ok = ~np.isnan(mu).any(axis=1)
-        lam[ok] = fam.lambda_hat(loss, mu[ok])
-        return RuleFit(mu=mu, lam=lam)
+        return irls(X, Y, family, design, _basis=basis).mu
 
     return train
 
@@ -234,9 +218,10 @@ def hte_bootstrap(
 
     The design-weighted GLM fit ``gen`` supplies the outcomes, the design
     and the generating means; replicate b redraws responses with the rng
-    stream (seed, b), the rule retrains on them (one call per block of
-    replicates), and the per-unit covariance of the rule's lambda with the
-    simulated outcome yields the optimism.  Given PSU labels, that
+    stream (seed, b), and the rule retrains on them (one call per block of
+    replicates).  ``loss`` maps the rule's fitted means to lambda-hat and
+    scores the in-sample error; the per-unit covariance of lambda-hat with
+    the simulated outcome yields the optimism.  Given PSU labels, that
     covariance is scaled by the design effect phi-hat of
     :func:`estimate_dispersion` on ``gen`` (quasi-binomial correction).
 
@@ -256,14 +241,16 @@ def _bootstrap_reports(
     Each (seed, b) block of outcomes is drawn once and phi-hat computed
     once; every rule retrains on each block and keeps its own running
     sums, kept count and drop check, so its report equals, bit for bit,
-    the one :func:`hte_bootstrap` gives for it alone.
+    the one :func:`hte_bootstrap` gives for it alone.  This is the one
+    place that maps a rule's fitted means to lambda-hat: a row with a NaN
+    mean failed to train and is dropped.
     """
     if B < 2:
         raise ValueError("bootstrap needs at least two replicates")
     y, design, n = gen.y, gen.design, gen.n
     rho_hat, phi_hat = estimate_dispersion(gen) if design.psu is not None else (None, 1.0)
-    bases = [rule(y[None]) for rule in rules]
-    if any(np.isnan(base.lam).any() for base in bases):
+    bases = [rule(y[None])[0] for rule in rules]
+    if any(np.isnan(mu).any() for mu in bases):
         raise FitError("the rule failed to train on the observed outcomes")
 
     sum_lam, sum_e, sum_lam_e = (np.zeros((len(rules), n)) for _ in range(3))
@@ -274,22 +261,24 @@ def _bootstrap_reports(
             for b in range(start, min(start + _BLOCK, B))
         ])
         for r, rule in enumerate(rules):
-            lam = rule(Y).lam
+            # one name for the means and their lambda-hat, so a rule's
+            # output does not outlive its turn of the loop
+            lam = rule(Y)
             ok = ~np.isnan(lam).any(axis=1)
-            lam, e = lam[ok], Y[ok] - gen.mu
+            lam, e = fam.lambda_hat(loss, lam[ok]), Y[ok] - gen.mu
             sum_lam[r] += lam.sum(axis=0)
             sum_e[r] += e.sum(axis=0)
             sum_lam_e[r] += (lam * e).sum(axis=0)
             kept[r] += int(ok.sum())
 
     reports = []
-    for r, base in enumerate(bases):
+    for r, mu in enumerate(bases):
         dropped = B - kept[r]
         if dropped > 0.1 * B:
             raise FitError(f"{dropped}/{B} bootstrap replicates failed to train")
         cov_i = phi_hat * (sum_lam_e[r] - sum_lam[r] * sum_e[r] / kept[r]) / (kept[r] - 1)
         omega = 2.0 * design.mean(cov_i)
-        err_w = in_sample_error(loss, y, base.mu[0], design)
+        err_w = in_sample_error(loss, y, mu, design)
         reports.append(PenaltyReport(
             err_weighted=err_w,
             omega_hat=omega,

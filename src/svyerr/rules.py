@@ -1,10 +1,10 @@
 """Design-weighted k-nearest-neighbour classification under 0-1 loss.
 
 The classifier standardizes covariates with weighted means and standard
-deviations from the training data, votes with the survey weights of the
-k nearest points (self included, so the optimism is nonzero), and maps
-the vote to the +-1 penalty parameter of the 0-1 loss.  As a bootstrap
-rule, ``knn_rule(X, design, k)(Y)`` returns the RuleFit of outcome rows Y.
+deviations from the training data and votes with the survey weights of
+the k nearest points (self included, so the optimism is nonzero).  As a
+bootstrap rule, ``knn_rule(X, design, k)(Y)`` returns the in-sample votes
+on outcome rows Y; the bootstrap maps them to the 0-1 loss's lambda-hat.
 """
 
 from __future__ import annotations
@@ -147,11 +147,9 @@ def knn_predict(model: KnnModel, X_new) -> np.ndarray:
 def _vote_rule(W: sparse.csr_array) -> pen.PredictionRule:
     """The in-sample vote through neighbour weights W, as a prediction rule."""
     wsums = W.sum(axis=1)
-    loss = Loss(LossKind.ZERO_ONE)
 
-    def train(Y) -> pen.RuleFit:
-        mu = (W @ np.asarray(Y, dtype=float).T).T / wsums
-        return pen.RuleFit(mu=mu, lam=np.asarray(fam.lambda_hat(loss, mu)))
+    def train(Y):
+        return (W @ np.asarray(Y, dtype=float).T).T / wsums
 
     return train
 

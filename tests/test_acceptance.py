@@ -205,7 +205,7 @@ def test_criterion_9_bootstrap_matches_analytic_on_weighted_logistic():
     f = fit_weighted_glm(X, y, BERN, design)
     loss = Loss(LossKind.DEVIANCE, BERN)
     analytic = hte_analytic(f, loss=loss).omega_hat
-    rule = glm_rule(X, design, BERN, loss)
+    rule = glm_rule(X, design, BERN)
     boot = hte_bootstrap(rule, f, B=2_000, seed=SEED, loss=loss).omega_hat
     rel = abs(boot - analytic) / abs(analytic)
     _verdict(

@@ -232,15 +232,27 @@ class TestCmdFit:
         assert pb["q025"] <= pb["median"] <= pb["q975"]
 
     @pytest.mark.parametrize("runs", ["0", "-1"])
-    def test_interval_runs_below_one_numeric_exit(self, gaussian_csv, capsys, runs):
-        code = main([
-            "fit", "--data", gaussian_csv, "--outcome", "y",
-            "--covariates", "x1", "--weights", "w", "--family", "gaussian",
-            "--method", "hte-bootstrap", "--B", "10", "--interval-runs", runs,
-            "--seed", "5",
-        ])
-        assert code == 3
-        assert f"--interval-runs must be at least 1, got {runs}" in capsys.readouterr().err
+    def test_interval_runs_below_one_usage_exit(self, gaussian_csv, capsys, runs):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "fit", "--data", gaussian_csv, "--outcome", "y",
+                "--covariates", "x1", "--weights", "w", "--family", "gaussian",
+                "--method", "hte-bootstrap", "--B", "10", "--interval-runs", runs,
+                "--seed", "5",
+            ])
+        assert exc.value.code == 2
+        assert (f"argument --interval-runs: must be an integer of at least 1, got '{runs}'"
+                in capsys.readouterr().err)
+
+    def test_one_bootstrap_replicate_usage_exit(self, gaussian_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "fit", "--data", gaussian_csv, "--outcome", "y",
+                "--covariates", "x1", "--weights", "w", "--family", "gaussian",
+                "--method", "hte-bootstrap", "--B", "1", "--seed", "5",
+            ])
+        assert exc.value.code == 2
+        assert "argument --B: must be an integer of at least 2, got '1'" in capsys.readouterr().err
 
     def test_negative_seed_rejected_at_parse_time(self, logistic_csv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -464,6 +476,13 @@ class TestCmdSimulate:
         assert exc.value.code == 2
         assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
+    def test_zero_reps_usage_exit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", "s1", "--pop", "1000", "--n", "50",
+                  "--reps", "0", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "argument --reps: must be an integer of at least 1, got '0'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", ["-3", "0", "2"])
     def test_sample_size_below_three_numeric_exit(self, capsys, n):
         code = main([
@@ -593,6 +612,15 @@ class TestCmdKnn:
             ])
         assert exc.value.code == 2
         assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+    def test_one_bootstrap_replicate_usage_exit(self, logistic_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "knn", "--data", logistic_csv, "--outcome", "y", "--covariates", "x1",
+                "--weights", "w", "--k", "5", "--B", "1", "--seed", "2",
+            ])
+        assert exc.value.code == 2
+        assert "argument --B: must be an integer of at least 2, got '1'" in capsys.readouterr().err
 
     def test_non_binary_outcome_schema_exit(self, gaussian_csv):
         code = main([

@@ -109,6 +109,11 @@ class TestSurveyDesign:
         np.testing.assert_array_equal(d.weights, [2.5, 7.5])
         assert d.pop_size == 10.0
 
+    def test_hajek_without_pop_size_rejected(self):
+        # the weights would keep their sum 7.2 while N rounds it to 7
+        with pytest.raises(DesignError, match="pop_size"):
+            SurveyDesign(weights=np.array([1.5, 2.5, 3.2]), hajek=True)
+
     def test_mean_is_ht_mean(self):
         rng = np.random.default_rng(3)
         d = SurveyDesign(weights=rng.uniform(0.5, 9.0, size=50), pop_size=213.0)

@@ -203,7 +203,7 @@ class TestIrlsCore:
             except FitError:
                 dropped += 1
         assert 0 < dropped <= 0.1 * B
-        report = hte_bootstrap(glm_rule(X, d, BERN, loss), gen, B=B, seed=seed, loss=loss)
+        report = hte_bootstrap(glm_rule(X, d, BERN), gen, B=B, seed=seed, loss=loss)
         assert report.dropped_replicates == dropped
 
 

@@ -9,7 +9,6 @@ from svyerr.design import SurveyDesign
 from svyerr.families import Family, FamilyKind, Loss, LossKind
 from svyerr.fit import fit_weighted_glm, sandwich_variance
 from svyerr.penalty import (
-    RuleFit,
     aic_naive,
     cov_lambda_y_elementwise,
     estimate_dispersion,
@@ -267,7 +266,7 @@ class TestHteBootstrap:
         X, y, d = _gaussian_instance(rng, n=80)
         f = fit_weighted_glm(X, y, GAUSS, d)
         analytic = hte_analytic(f, loss=SQERR)
-        rule = glm_rule(X, d, GAUSS, SQERR)
+        rule = glm_rule(X, d, GAUSS)
         boot = hte_bootstrap(rule, f, B=2000, seed=1, loss=SQERR)
         assert boot.omega_hat == pytest.approx(analytic.omega_hat, rel=0.10)
 
@@ -275,10 +274,10 @@ class TestHteBootstrap:
         rng = np.random.default_rng(11)
         X, y, d = _gaussian_instance(rng, n=40)
         clustered = SurveyDesign(weights=d.weights, psu=np.repeat(np.arange(10), 4))
-        plain = hte_bootstrap(glm_rule(X, d, GAUSS, SQERR), fit_weighted_glm(X, y, GAUSS, d),
+        plain = hte_bootstrap(glm_rule(X, d, GAUSS), fit_weighted_glm(X, y, GAUSS, d),
                               B=50, seed=2, loss=SQERR)
         gen = fit_weighted_glm(X, y, GAUSS, clustered)
-        scaled = hte_bootstrap(glm_rule(X, clustered, GAUSS, SQERR), gen, B=50, seed=2, loss=SQERR)
+        scaled = hte_bootstrap(glm_rule(X, clustered, GAUSS), gen, B=50, seed=2, loss=SQERR)
         rho, phi = estimate_dispersion(gen)
         assert (plain.rho_hat, plain.phi_hat) == (None, 1.0)
         assert (scaled.rho_hat, scaled.phi_hat) == (rho, phi)
@@ -290,7 +289,7 @@ class TestHteBootstrap:
         X, y, d = _gaussian_instance(rng, n=40)
 
         def constant_rule(Y_):
-            return RuleFit(mu=np.full(Y_.shape, 0.3), lam=np.full(Y_.shape, 0.3))
+            return np.full(Y_.shape, 0.3)
 
         boot = hte_bootstrap(constant_rule, fit_weighted_glm(X, y, GAUSS, d),
                              B=2000, seed=3, loss=SQERR)
@@ -299,7 +298,7 @@ class TestHteBootstrap:
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(13)
         X, y, d = _gaussian_instance(rng, n=30)
-        rule = glm_rule(X, d, GAUSS, SQERR)
+        rule = glm_rule(X, d, GAUSS)
         gen = fit_weighted_glm(X, y, GAUSS, d)
         r1 = hte_bootstrap(rule, gen, B=40, seed=9, loss=SQERR)
         r2 = hte_bootstrap(rule, gen, B=40, seed=9, loss=SQERR)
@@ -313,8 +312,8 @@ class TestHteBootstrap:
         def flaky_rule(Y_):
             calls["n"] += 1
             if calls["n"] > 1:  # fail on every bootstrap replicate
-                return RuleFit(mu=Y_, lam=np.full(Y_.shape, np.nan))
-            return RuleFit(mu=Y_, lam=Y_)
+                return np.full(Y_.shape, np.nan)
+            return Y_
 
         from svyerr.fit import FitError
 
@@ -330,9 +329,9 @@ class TestHteBootstrap:
         def flaky_rule(Y_):
             b = seen["rows"] + np.arange(len(Y_))
             seen["rows"] += len(Y_)
-            lam = Y_.copy()
-            lam[np.isin(b, (1, 5))] = np.nan  # replicates 1 and 5 fail to train
-            return RuleFit(mu=Y_, lam=lam)
+            mu = Y_.copy()
+            mu[np.isin(b, (1, 5))] = np.nan  # replicates 1 and 5 fail to train
+            return mu
 
         report = hte_bootstrap(flaky_rule, fit_weighted_glm(X, y, GAUSS, d), B=20, seed=4,
                                loss=SQERR)
@@ -359,18 +358,32 @@ class TestHteBootstrap:
             return inner(*args)
 
         monkeypatch.setattr(fitting, "_solve_basis", counted)
-        rule = glm_rule(X, d, BERN, loss)
+        rule = glm_rule(X, d, BERN)
         hte_bootstrap(rule, gen, B=100, seed=0, loss=loss)  # one base fit, four blocks
         assert len(calls) == 1
-        mu = rule(Y).mu
+        mu = rule(Y)
         assert len(calls) == 1
         assert [float.hex(v) for v in mu.ravel()] == [float.hex(v) for v in alone.mu.ravel()]
+
+    def test_bootstrap_owns_the_loss(self):
+        # one rule, two losses: the gaussian natural parameter is mu / sigma^2,
+        # so the deviance penalty times sigma-hat^2 is the squared-error one
+        rng = np.random.default_rng(17)
+        X, y, d = _gaussian_instance(rng, n=50)
+        gen = fit_weighted_glm(X, y, GAUSS, d)
+        rule = glm_rule(X, d, GAUSS)
+        dev = hte_bootstrap(rule, gen, B=64, seed=5, loss=Loss(LossKind.DEVIANCE, gen.family))
+        sq = hte_bootstrap(rule, gen, B=64, seed=5, loss=SQERR)
+        sigma2 = gen.family.dispersion
+        assert sigma2 != 1.0
+        assert dev.omega_hat * sigma2 == pytest.approx(sq.omega_hat, rel=1e-13)
+        assert dev.err_weighted * sigma2 == pytest.approx(sq.err_weighted, rel=1e-13)
 
     def test_rejects_tiny_b(self):
         rng = np.random.default_rng(15)
         X, y, d = _gaussian_instance(rng, n=30)
         with pytest.raises(ValueError):
-            hte_bootstrap(glm_rule(X, d, GAUSS, SQERR), fit_weighted_glm(X, y, GAUSS, d),
+            hte_bootstrap(glm_rule(X, d, GAUSS), fit_weighted_glm(X, y, GAUSS, d),
                           B=1, seed=0, loss=SQERR)
 
 

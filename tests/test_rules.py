@@ -77,7 +77,7 @@ def test_neighbour_weights_match_loop_oracle(kind, k):
     model = knn_train(X, y, d, k)
     kc = model.kept_columns
     paths = (
-        (model.X, knn_rule(X, d, k)(y[None]).mu[0]),  # in-sample rule
+        (model.X, knn_rule(X, d, k)(y[None])[0]),  # in-sample rule
         ((query[:, kc] - model.center[kc]) / model.scale[kc], knn_predict(model, query)),
     )
     for Z, votes in paths:
@@ -143,7 +143,7 @@ def test_tree_neighbour_weights_equal_dense_oracle(kind, k_list):
         want = _dense_neighbour_weights(model.X, model.weights, k, Z_query)
         np.testing.assert_array_equal(knn_predict(m, query), (want @ m.y) / want.sum(axis=1))
         want = _dense_neighbour_weights(model.X, model.weights, k, model.X)
-        np.testing.assert_array_equal(knn_rule(X, d, k)(m.y[None]).mu[0],
+        np.testing.assert_array_equal(knn_rule(X, d, k)(m.y[None])[0],
                                       (want @ m.y) / want.sum(axis=1))
 
 
@@ -233,7 +233,7 @@ class TestKnnTrain:
                                    rtol=0, atol=1e-12)
         with pytest.warns(UserWarning, match="zero-variance"):
             rule = knn_rule(X, d, k=3)
-        np.testing.assert_allclose(rule(y[None]).mu[0], majority, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rule(y[None])[0], majority, rtol=0, atol=1e-12)
 
 
 class TestKnnPredict:
@@ -287,10 +287,9 @@ class TestKnnRule:
         rng = np.random.default_rng(7)
         X, y, d = _binary_data(rng, n=50)
         rule = knn_rule(X, d, k=7)
-        fit = rule(y[None])
+        mu = rule(y[None])
         model = knn_train(X, y, d, k=7)
-        np.testing.assert_allclose(fit.mu[0], knn_predict(model, X), atol=1e-12)
-        assert set(np.unique(fit.lam)) <= {-1.0, 1.0}
+        np.testing.assert_allclose(mu[0], knn_predict(model, X), atol=1e-12)
 
 
     @pytest.mark.parametrize("kind", ["integer_grid", "continuous"])
@@ -299,12 +298,11 @@ class TestKnnRule:
         rng = np.random.default_rng(12)
         Y = (rng.random((37, 60)) < 0.5).astype(float)
         rule = knn_rule(X, d, k=9)
-        fit = rule(Y)
+        mu = rule(Y)
         model = knn_train(X, Y[0], d, k=9)
         W = _neighbour_weights(model.X, model.weights, [9])[9]
         want = np.stack([(W @ y) / W.sum(axis=1) for y in Y])
-        np.testing.assert_array_equal(fit.mu, want)
-        np.testing.assert_array_equal(fit.lam, np.where(want < 0.5, -1.0, 1.0))
+        np.testing.assert_array_equal(mu, want)
 
 
 class TestKnnErrorReport:
