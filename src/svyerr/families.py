@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "FamilyKind",
@@ -165,8 +164,18 @@ def variance(family: Family, mu):
 
 
 def _xlogy(x, y):
-    """x * log(y) with the limit convention 0 * log(0) = 0."""
-    return special.xlogy(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    """x * log(y), with scipy.special.xlogy's conventions: 0 where x == 0 and y is not NaN.
+
+    So 0 * log(0) = 0, 0 * log(NaN) = NaN and x * log(0) = -inf for x > 0.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(x * np.log(y))
+    zero = x == 0.0  # where IEEE gives 0 * log(0) = NaN, or -0.0 for 0 < y < 1
+    if zero.any():
+        np.copyto(out, 0.0, where=zero & ~np.isnan(y))
+    return out
 
 
 def _unit_deviance(family: Family, y, mu):
@@ -180,8 +189,12 @@ def _unit_deviance(family: Family, y, mu):
             # y log y and (1-y) log(1-y) vanish for 0/1 outcomes, and of the
             # other two terms only the log of the fitted probability of the
             # observed outcome is non-zero: one log per unit.  0.0 - a keeps
-            # the sign of a zero deviance that the four-term sum gives
-            return 2.0 * (0.0 - _xlogy(1.0, np.where(y == 1.0, mu, 1.0 - mu)))
+            # the sign of a zero deviance that the four-term sum gives.  The
+            # where array is the only one: the log and the scaling are in place
+            p = np.where(y == 1.0, mu, 1.0 - mu)
+            np.log(p, out=p)
+            np.subtract(0.0, p, out=p)
+            return np.multiply(2.0, p, out=p)
         return 2.0 * (
             _xlogy(y, y) - _xlogy(y, mu)
             + _xlogy(1.0 - y, 1.0 - y) - _xlogy(1.0 - y, 1.0 - mu)

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import families as fam
 from . import design as dsn
@@ -86,27 +85,32 @@ class SandwichVariance:
 def _solve_basis(X, w) -> tuple[np.ndarray, np.ndarray]:
     """W-orthonormal basis B = X M for the IRLS normal equations, as (B', M).
 
-    One pivoted QR before the iterations, sqrt(W) X P = Q R, raises
-    FitError when sqrt(W) X is numerically rank deficient.  The IRLS
-    weights w * v only rescale rows by positive factors, so the rank and
-    the conditioning are decided by X and w.  Normal equations in X square
+    One thin SVD before the iterations, sqrt(W) X = U S V', raises
+    FitError when sqrt(W) X is numerically rank deficient: its smallest
+    singular value is at most max(n, p) eps times its largest, the
+    tolerance of numpy.linalg.matrix_rank.  The error names the column
+    that loads most on the last right singular vector.  The IRLS weights
+    w * v only rescale rows by positive factors, so the rank and the
+    conditioning are decided by X and w.  Normal equations in X square
     the condition of sqrt(W) X and fail on near-collinear covariates; in
-    B = Q / sqrt(w), M = P R^-1 the normal matrix B' W V B = Q' V Q is
-    conditioned like v alone.  B is read off Q, not multiplied out, so it
-    keeps Q's accuracy, and a solution beta maps back as theta = M beta.
+    B = U / sqrt(w), M = V S^-1 the normal matrix B' W V B = U' V U is
+    conditioned like v alone.  B is read off U, not multiplied out, so it
+    keeps U's accuracy, and a solution beta maps back as theta = M beta.
+    A NaN or inf in X or w raises ValueError.
     """
     sw = np.sqrt(w)
-    A = np.multiply(X, sw[:, None], order="F")  # the QR overwrites it with Q in place
-    q, r, piv = sla.qr(A, overwrite_a=True, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(A.shape) * np.finfo(float).eps if diag.size else 0.0
-    if np.any(diag <= tol):
-        bad = int(piv[int(np.argmax(diag <= tol))])
+    A = X * sw[:, None]
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    try:
+        u, s, vt = np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"design matrix SVD failed: {exc}") from None
+    if s.size and s[-1] <= s[0] * max(A.shape) * np.finfo(float).eps:
+        bad = int(np.argmax(np.abs(vt[-1])))
         raise FitError(f"design matrix is rank deficient (column {bad})")
-    q /= sw[:, None]
-    M = np.empty_like(r)
-    M[piv] = sla.solve_triangular(r, np.eye(len(r)))
-    return np.ascontiguousarray(q.T), M  # contiguous rows make the stacked products fast
+    # B' in one pass, in contiguous rows, which make the stacked products fast
+    return np.divide(u.T, sw, order="C"), vt.T / s
 
 
 def _solve_rows(A, b):

@@ -198,7 +198,7 @@ def _draw_responses(rng: np.random.Generator, family: Family, mu: np.ndarray):
 def glm_rule(X, design: SurveyDesign, family: Family) -> PredictionRule:
     """The weighted GLM's IRLS on covariates ``X`` and ``design``, as a prediction rule.
 
-    The IRLS basis (a pivoted QR of sqrt(W) X) depends only on X and the
+    The IRLS basis (from the thin SVD of sqrt(W) X) depends only on X and the
     weights, so it is factored once here and shared by every block the
     rule retrains on; a rank-deficient X raises FitError here.
     """

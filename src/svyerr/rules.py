@@ -12,15 +12,18 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse, spatial
 
 from . import families as fam
 from . import penalty as pen
 from .design import SurveyDesign
 from .families import Family, FamilyKind, Loss, LossKind
 from .fit import fit_weighted_glm
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["KnnModel", "knn_train", "knn_predict", "knn_rule", "knn_error_report"]
 
@@ -93,7 +96,11 @@ def _neighbour_weights(Z, weights, k_list, Z_query=None) -> dict[int, sparse.csr
     each row's candidates are put in column order once, so a k whose rows
     are all decided reads its CSR straight off the row-major mask
     d2 <= thr, and only a k with tied rows sorts its (row, column) keys.
+    This is the only user of scipy's k-d tree and CSR arrays, so the
+    rest of the package loads without scipy.
     """
+    from scipy import sparse, spatial
+
     Zq = Z if Z_query is None else Z_query
     (n, p), q = Z.shape, Zq.shape[0]
     if p == 0:  # no coordinates left: all distances are 0, so all n points tie

@@ -15,7 +15,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
 
 from . import families as fam
 from . import penalty as pen
@@ -125,6 +124,8 @@ def generate_population(spec: ScenarioSpec, seed) -> tuple[np.ndarray, np.ndarra
     by_index = sid in ("s1", "s2_gauss", "s2_bern", "s3")
     log_index = np.log(np.arange(1, N + 1) + 1.0) if by_index else None
     if sid.endswith("_bern"):
+        from scipy import special
+
         y = (rng.random(N) < special.ndtr(x)).astype(float)
     elif sid == "s1":
         y = x + rng.normal(size=N)
@@ -193,8 +194,8 @@ def _worker_count(tasks: int, work: int) -> int:
     ``_FORK_MIN_WORK``, where "fork" is not a start method, and while the
     process runs another Python thread: a forked child gets only the
     calling thread, and a lock another thread held stays locked in it.
-    (Spawned workers would each re-import numpy and scipy, which costs
-    more than a typical experiment.)
+    (Spawned workers would each re-import numpy, and scipy where the
+    population needs it, which costs more than a typical experiment.)
     """
     if work < _FORK_MIN_WORK or threading.active_count() > 1:
         return 1
@@ -282,6 +283,8 @@ def run_optimism_experiment(spec: ScenarioSpec, reps: int, seed: int) -> Experim
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    if spec.family.kind is FamilyKind.BERNOULLI:
+        import scipy.special  # noqa: F401  (loaded once here, not in each forked worker)
     records = _map_replicates(
         _optimism_replicate, [(spec, seed, rep) for rep in range(reps)], [spec.pop_size] * reps
     )
@@ -297,6 +300,8 @@ def _case_control_pop_size(cc: CaseControlSpec) -> int:
 
 def _case_control_population(cc: CaseControlSpec, rng: np.random.Generator):
     """Population (X, y, case indicator) with the requested case prevalence."""
+    from scipy import optimize, special
+
     N = _case_control_pop_size(cc)
     x = rng.normal(size=N)
     # intercept tuned so the realized event rate matches the prevalence
@@ -367,6 +372,8 @@ def run_relative_error_experiment(
     (key, values), = grid.items()
     specs = [CaseControlSpec(**{**cc.__dict__, key: value}) for value in values]
     tasks = [(spec, seed, cell, rep) for cell, spec in enumerate(specs) for rep in range(reps)]
+    import scipy.optimize  # noqa: F401  (loaded once here, not in each forked worker)
+    import scipy.special  # noqa: F401
     results = _map_replicates(
         _case_control_replicate, tasks, [_case_control_pop_size(t[0]) for t in tasks]
     )

@@ -1,15 +1,21 @@
-"""Public API: exported names resolve, and the benchmark's traced functions exist.
+"""Public API: exported names resolve, the benchmark's traced functions exist,
+and scipy loads only where a command needs it.
 
 ``perfbench/run.py --trace 1`` reports calls and self time per
 ``<module>.<function>`` span named in ``BENCHMARK.json``; a span whose
 function was deleted or renamed would silently read zero.
 """
 
+import csv
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import svyerr
@@ -59,3 +65,59 @@ def test_benchmark_span_is_public_function(span):
     fn = getattr(mod, attr, None)
     assert inspect.isfunction(fn), f"{span} is not a function of svyerr.{module}"
     assert fn.__module__ == mod.__name__ and not attr.startswith("_")
+
+
+# Runs each (name, argv) through cli.main in a fresh interpreter and prints
+# the scipy modules loaded after ``import svyerr`` and after each command.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import svyerr
+from svyerr import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+loaded = {"import": [0, scipy_modules()]}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded[name] = [cli.main(argv), scipy_modules()]
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_for_knn(tmp_path):
+    # a fresh process, since the test session itself may hold scipy already;
+    # asserts on the loaded modules, not on import time
+    rng = np.random.default_rng(4)
+    n = 120
+    x = rng.normal(size=n)
+    columns = {
+        "gauss": 1.0 + x + rng.normal(size=n),
+        "bern": (rng.random(n) < 1.0 / (1.0 + np.exp(-x))).astype(float),
+    }
+    path = tmp_path / "data.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["gauss", "bern", "x", "w"])
+        writer.writerows(np.column_stack([columns["gauss"], columns["bern"], x,
+                                          rng.uniform(1.0, 3.0, size=n)]).tolist())
+    data = ["--data", str(path), "--covariates", "x", "--weights", "w", "--seed", "1"]
+    commands = [
+        ("fit_gaussian_analytic",
+         ["fit", *data, "--outcome", "gauss", "--family", "gaussian", "--method", "hte-analytic"]),
+        ("fit_bernoulli_bootstrap",
+         ["fit", *data, "--outcome", "bern", "--family", "bernoulli", "--method", "hte-bootstrap",
+          "--B", "10", "--interval-runs", "2"]),
+        ("knn", ["knn", *data, "--outcome", "bern", "--k", "5", "--B", "10"]),
+    ]
+    src = str(Path(svyerr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    for name in ("import", "fit_gaussian_analytic", "fit_bernoulli_bootstrap"):
+        assert loaded[name] == [0, []], name
+    code, modules = loaded["knn"]
+    assert code == 0 and "scipy.spatial" in modules and "scipy.sparse" in modules

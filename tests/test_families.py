@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from svyerr import families
 from svyerr.families import (
     NATURAL_CLAMP,
     DomainError,
@@ -190,18 +191,36 @@ class TestLossQ:
 
     def test_binary_bernoulli_deviance_bit_identical_to_four_terms(self):
         # the 0/1 path drops y log y and (1-y) log(1-y); it must give the
-        # four-term sum's bits, signed zeros and infinities included
+        # four-term sum's bits, signed zeros and infinities included.  The
+        # sum is built from the package's own xlogy, so both sides take the
+        # same log (numpy's may differ from libm's by an ulp)
+        xlogy = families._xlogy
         rng = np.random.default_rng(15)
         mu = np.concatenate([rng.uniform(size=400), [0.0, 1.0, 0.0, 1.0, 1e-300, 1 - 1e-16]])
         y = np.concatenate([(rng.random(400) < 0.5).astype(float), [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]])
-        with np.errstate(divide="ignore"):
-            four = 2.0 * (special.xlogy(y, y) - special.xlogy(y, mu)
-                          + special.xlogy(1.0 - y, 1.0 - y) - special.xlogy(1.0 - y, 1.0 - mu))
+        four = 2.0 * (xlogy(y, y) - xlogy(y, mu)
+                      + xlogy(1.0 - y, 1.0 - y) - xlogy(1.0 - y, 1.0 - mu))
         got = np.asarray(loss_q(Loss(LossKind.DEVIANCE, BERN), y, mu))
         assert [float.hex(v) for v in got] == [float.hex(v) for v in four]
         Y = np.stack([y, 1.0 - y])  # a block of outcome rows takes the same path
         got = np.asarray(loss_q(Loss(LossKind.DEVIANCE, BERN), Y, mu))
         assert [float.hex(v) for v in got[0]] == [float.hex(v) for v in four]
+
+    def test_xlogy_follows_scipy(self):
+        # scipy's conventions exactly: 0 where x == 0 and y is not NaN (so
+        # 0 log 0 = +0, 0 log inf = +0, 0 log(-1) = +0), NaN for a NaN
+        # argument, x log 0 = -inf for x > 0; values within one ulp
+        edge = np.array([0.0, -0.0, 1.0, 2.5, -1.5, np.inf, -np.inf, np.nan, 0.3, 1e-300])
+        x, y = (a.ravel() for a in np.meshgrid(edge, edge))
+        got = families._xlogy(x, y)
+        with np.errstate(all="ignore"):
+            want = special.xlogy(x, y)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-5.0, 5.0, size=20_000)
+        y = np.exp(rng.uniform(-700.0, 700.0, size=x.size))
+        got, want = families._xlogy(x, y), special.xlogy(x, y)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
     def test_bernoulli_deviance_endpoints_bit_identical_to_masked_four_terms(self):
         # +inf at an endpoint prediction comes from log(0) after the clip, not

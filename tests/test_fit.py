@@ -293,13 +293,50 @@ class TestFitWeightedGlm:
         t2 = sandwich_variance(f2).trace_JV
         assert t1 == pytest.approx(t2, rel=1e-10)
 
+    @staticmethod
+    def _named_column(X, d, y):
+        """The column a rank-deficient X is rejected for, by the fit and by glm_rule."""
+        with pytest.raises(FitError, match="rank deficient"):
+            glm_rule(X, d, GAUSS)  # at build time, before any block is drawn
+        with pytest.raises(FitError, match=r"rank deficient \(column \d\)") as err:
+            fit_weighted_glm(X, y, GAUSS, d)
+        return int(err.value.args[0][-2])
+
     def test_rank_deficiency_names_column(self):
         rng = np.random.default_rng(7)
         n = 20
         x = rng.normal(size=n)
         X = np.column_stack([np.ones(n), x, 2.0 * x])
-        with pytest.raises(FitError, match="rank deficient"):
-            fit_weighted_glm(X, rng.normal(size=n), GAUSS, SurveyDesign.uniform(n))
+        d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n))
+        assert self._named_column(X, d, rng.normal(size=n)) in (1, 2)
+
+    def test_repeated_intercept_names_one_of_its_copies(self):
+        rng = np.random.default_rng(7)
+        n = 20
+        X = np.column_stack([np.ones(n), np.ones(n), rng.normal(size=n)])
+        d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n))
+        assert self._named_column(X, d, rng.normal(size=n)) in (0, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariate_rejected(self, bad):
+        rng = np.random.default_rng(8)
+        n = 20
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        X[5, 1] = bad
+        d = SurveyDesign.uniform(n)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            fit_weighted_glm(X, rng.normal(size=n), GAUSS, d)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            irls(X, rng.normal(size=(2, n)), GAUSS, d)
+
+    def test_svd_failure_is_a_fit_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(fit_mod.np.linalg, "svd", fail)
+        X, y, d = _random_instance(np.random.default_rng(9))
+        with pytest.raises(FitError, match="SVD did not converge"):
+            fit_weighted_glm(X, y, GAUSS, d)
 
     def test_more_parameters_than_observations_rejected(self):
         with pytest.raises(FitError):

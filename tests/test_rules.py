@@ -378,7 +378,7 @@ class TestKnnErrorReportSharesReplicates:
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(float)
         psu = np.arange(n) % 8 if case == "psu" else None
         d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n), psu=psu)
-        monkeypatch.setattr(rules.spatial, "cKDTree", _CountingTree)
+        monkeypatch.setattr(spatial, "cKDTree", _CountingTree)
         monkeypatch.setattr(_CountingTree, "ball_queries", 0)
         got = knn_error_report(X, y, d, k_list, B=40, seed=4)
         assert (_CountingTree.ball_queries > 0) == (case == "tied")
