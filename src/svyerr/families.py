@@ -135,8 +135,10 @@ def _check_mean_domain(family: Family, mu) -> None:
 
 
 def check_outcomes(family: Family, y) -> None:
-    """Raise DomainError for a bernoulli outcome not 0/1 or a negative poisson outcome."""
+    """Raise DomainError for a non-finite, non-0/1 bernoulli or negative poisson outcome."""
     y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"{family.kind.value} outcomes must be finite")
     if family.kind is FamilyKind.BERNOULLI and not np.all(np.isin(y, (0.0, 1.0))):
         raise DomainError("bernoulli outcomes must be 0/1")
     if family.kind is FamilyKind.POISSON and np.any(y < 0):

@@ -1,22 +1,25 @@
 """Design-weighted k-nearest-neighbour classification under 0-1 loss.
 
 The classifier standardizes covariates with weighted means and standard
-deviations from the training data and votes with the survey weights of
-the k nearest points (self included, so the optimism is nonzero).  As a
+deviations from the sample and votes with the survey weights of the k
+nearest points (self included, so the optimism is nonzero).  As a
 bootstrap rule, ``knn_rule(X, design, k)(Y)`` returns the in-sample votes
 on outcome rows Y; the bootstrap maps them to the 0-1 loss's lambda-hat.
+``_vote_rules`` is the one construction path: ``knn_rule`` and
+``knn_error_report`` both build their rules through it.  Votes at
+off-sample points are internal: standardize the query with
+``_standardize``'s center and scale and pass it to ``_neighbour_weights``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import families as fam
 from . import penalty as pen
 from .design import SurveyDesign
 from .families import Family, FamilyKind, Loss, LossKind
@@ -25,18 +28,7 @@ from .fit import fit_weighted_glm
 if TYPE_CHECKING:
     from scipy import sparse
 
-__all__ = ["KnnModel", "knn_train", "knn_predict", "knn_rule", "knn_error_report"]
-
-
-@dataclass(frozen=True)
-class KnnModel:
-    k: int
-    X: np.ndarray  # standardized training covariates
-    y: np.ndarray
-    weights: np.ndarray
-    center: np.ndarray
-    scale: np.ndarray
-    kept_columns: np.ndarray
+__all__ = ["knn_rule", "knn_error_report"]
 
 
 def _standardize(X, weights):
@@ -51,24 +43,6 @@ def _standardize(X, weights):
         warnings.warn(f"dropping {int((~kept).sum())} zero-variance column(s)")
     kept = np.flatnonzero(kept)
     return (X[:, kept] - center[kept]) / scale[kept], center, scale, kept
-
-
-def _check_k(k, n) -> None:
-    if k < 1 or k > n:
-        raise ValueError(f"k must lie in [1, n={n}], got {k}")
-
-
-def knn_train(X, y, design: SurveyDesign, k: int) -> KnnModel:
-    """Store standardized covariates and outcomes; kNN has no fitting step."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    _check_k(k, X.shape[0])
-    fam.check_outcomes(Family(FamilyKind.BERNOULLI), y)
-    Z, center, scale, kept = _standardize(X, design.weights)
-    return KnnModel(
-        k=k, X=Z, y=y, weights=design.weights,
-        center=center, scale=scale, kept_columns=kept,
-    )
 
 
 def _squared_distances(Z_query, Z, rows, cols):
@@ -142,15 +116,6 @@ def _neighbour_weights(Z, weights, k_list, Z_query=None) -> dict[int, sparse.csr
     return out
 
 
-def knn_predict(model: KnnModel, X_new) -> np.ndarray:
-    """Weight-proportional class-1 vote of the k nearest neighbours."""
-    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    kc = model.kept_columns
-    Z_new = (X_new[:, kc] - model.center[kc]) / model.scale[kc]
-    W = _neighbour_weights(model.X, model.weights, [model.k], Z_new)[model.k]
-    return (W @ model.y) / W.sum(axis=1)
-
-
 def _vote_rule(W: sparse.csr_array) -> pen.PredictionRule:
     """The in-sample vote through neighbour weights W, as a prediction rule."""
     wsums = W.sum(axis=1)
@@ -161,16 +126,32 @@ def _vote_rule(W: sparse.csr_array) -> pen.PredictionRule:
     return train
 
 
-def knn_rule(X, design: SurveyDesign, k: int) -> pen.PredictionRule:
-    """In-sample kNN as a bootstrap-ready prediction rule.
+def _vote_rules(X, design: SurveyDesign, k_list) -> list[pen.PredictionRule]:
+    """One in-sample vote rule per neighbour count, in the order of ``k_list``.
 
-    The neighbour structure depends only on X, so it is computed once and
-    reused when the bootstrap retrains on blocks of resampled outcome rows.
+    Each k must be an integer in [1, n] and none may repeat; the checks
+    run before any work.  X is standardized once and one neighbour query
+    serves every k.  The neighbour structure depends only on X, so each
+    rule reuses it when the bootstrap retrains on blocks of outcome rows.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    _check_k(k, X.shape[0])
-    Z = _standardize(X, design.weights)[0]
-    return _vote_rule(_neighbour_weights(Z, design.weights, [k])[k])
+    n = X.shape[0]
+    for k in k_list:
+        try:
+            operator.index(k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {k}") from None
+        if k < 1 or k > n:
+            raise ValueError(f"k must lie in [1, n={n}], got {k}")
+    if len(set(k_list)) != len(k_list):
+        raise ValueError(f"repeated neighbour count in {list(k_list)}")
+    W = _neighbour_weights(_standardize(X, design.weights)[0], design.weights, k_list)
+    return [_vote_rule(W[k]) for k in k_list]
+
+
+def knn_rule(X, design: SurveyDesign, k: int) -> pen.PredictionRule:
+    """In-sample kNN as a bootstrap-ready prediction rule."""
+    return _vote_rules(X, design, [k])[0]
 
 
 def knn_error_report(
@@ -180,22 +161,17 @@ def knn_error_report(
 
     One weighted logistic fit generates the bootstrap outcomes for every k;
     it needs an intercept the distance-based rule itself does not carry.
-    One neighbour query serves every k, and each bootstrap block is drawn
-    once and voted through every k's neighbour weights; each k's report
-    equals ``penalty.hte_bootstrap`` on ``_vote_rule(W[k])`` bit for bit.
+    The k list is checked before that fit.  One neighbour query serves
+    every k, and each bootstrap block is drawn once and voted through every
+    k's neighbour weights; each k's report equals ``penalty.hte_bootstrap``
+    on ``knn_rule(X, design, k)`` bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    for k in k_list:
-        _check_k(k, X.shape[0])
-    if len(set(k_list)) != len(k_list):
-        raise ValueError(f"repeated neighbour count in {list(k_list)}")
+    rules = _vote_rules(X, design, k_list)
     gen = fit_weighted_glm(
         np.column_stack([np.ones(X.shape[0]), X]), y, Family(FamilyKind.BERNOULLI), design
     )
-    W = _neighbour_weights(_standardize(X, design.weights)[0], design.weights, k_list)
     if not k_list:
         return []
-    reports = pen._bootstrap_reports(
-        [_vote_rule(W[k]) for k in k_list], gen, B=B, seed=seed, loss=Loss(LossKind.ZERO_ONE)
-    )
+    reports = pen._bootstrap_reports(rules, gen, B=B, seed=seed, loss=Loss(LossKind.ZERO_ONE))
     return [(int(k), r) for k, r in zip(k_list, reports)]

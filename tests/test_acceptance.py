@@ -20,7 +20,7 @@ from svyerr.penalty import (
     hte_analytic,
     hte_bootstrap,
 )
-from svyerr.rules import _neighbour_weights, knn_error_report, knn_train
+from svyerr.rules import _neighbour_weights, _standardize, knn_error_report
 from svyerr.simulate import (
     CaseControlSpec,
     ScenarioSpec,
@@ -257,7 +257,7 @@ def test_criterion_11_knn_error_table_shape():
         dec = all(a >= b - 1e-12 for a, b in zip(omegas, omegas[1:]))
         ok_seeds += inc and dec
         # the tree's neighbour matrices are the dense build's, entry for entry
-        Z = knn_train(X, y, design, max(k_list)).X
+        Z = _standardize(X, design.weights)[0]
         W = _neighbour_weights(Z, design.weights, k_list)
         dense = [_dense_neighbour_weights(Z, design.weights, k, Z) for k in k_list]
         same_sets += all(

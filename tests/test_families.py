@@ -166,6 +166,12 @@ class TestCheckOutcomes:
     def test_inside_support_accepted(self, family, y):
         check_outcomes(family, y)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("family", [GAUSS, BERN, POIS], ids=lambda f: f.kind.value)
+    def test_non_finite_outcome_rejected(self, family, bad):
+        with pytest.raises(DomainError, match=f"^{family.kind.value} outcomes must be finite$"):
+            check_outcomes(family, [0.0, bad, 1.0])
+
 
 class TestLossQ:
     def test_squared_error(self):

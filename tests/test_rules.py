@@ -10,7 +10,7 @@ from svyerr import penalty, rules
 from svyerr.design import SurveyDesign
 from svyerr.families import Family, FamilyKind, Loss, LossKind
 from svyerr.fit import fit_weighted_glm
-from svyerr.rules import _neighbour_weights, knn_error_report, knn_predict, knn_rule, knn_train
+from svyerr.rules import _neighbour_weights, _standardize, knn_error_report, knn_rule
 
 
 def _binary_data(rng, n=60, p=2):
@@ -21,17 +21,17 @@ def _binary_data(rng, n=60, p=2):
     return X, y, design
 
 
-def _loop_neighbour_sets(model, Z_query):
+def _loop_neighbour_sets(Z, k, Z_query):
     """Reference neighbour sets: one sort by (distance, index) per query row.
 
     Ties at the k-th distance expand the set, with the same relative
     tolerance as the library.
     """
-    d2 = ((Z_query[:, None, :] - model.X[None, :, :]) ** 2).sum(axis=-1)
+    d2 = ((Z_query[:, None, :] - Z[None, :, :]) ** 2).sum(axis=-1)
     out = []
     for row in d2:
         order = np.lexsort((np.arange(len(row)), row))
-        kth = row[order[model.k - 1]]
+        kth = row[order[k - 1]]
         cut = np.searchsorted(row[order], kth + 1e-12 * (1.0 + kth), side="right")
         out.append(order[:cut])
     return out
@@ -57,6 +57,12 @@ def _assert_same_csr(got, want):
     np.testing.assert_array_equal(got.data, want.data)
 
 
+def _standardized_query(X, weights, query):
+    """The sample's z-scores and the query in the same coordinates (the sample's center and scale)."""
+    Z, center, scale, kept = _standardize(X, weights)
+    return Z, (query[:, kept] - center[kept]) / scale[kept]
+
+
 def _neighbour_case(kind, n=40):
     """Training data and queries: tie-heavy grid, continuous, or off-sample queries."""
     rng = np.random.default_rng(["integer_grid", "continuous", "off_training"].index(kind))
@@ -74,23 +80,19 @@ def _neighbour_case(kind, n=40):
 @pytest.mark.parametrize("kind", ["integer_grid", "continuous", "off_training"])
 def test_neighbour_weights_match_loop_oracle(kind, k):
     X, y, d, query = _neighbour_case(kind)
-    model = knn_train(X, y, d, k)
-    kc = model.kept_columns
-    paths = (
-        (model.X, knn_rule(X, d, k)(y[None])[0]),  # in-sample rule
-        ((query[:, kc] - model.center[kc]) / model.scale[kc], knn_predict(model, query)),
-    )
-    for Z, votes in paths:
-        W = _neighbour_weights(model.X, model.weights, [k], Z)[k]
-        sets = _loop_neighbour_sets(model, Z)
+    Z, Z_query = _standardized_query(X, d.weights, query)
+    for Zq in (Z, Z_query):  # in-sample, then off-sample query rows
+        W = _neighbour_weights(Z, d.weights, [k], Zq)[k]
+        sets = _loop_neighbour_sets(Z, k, Zq)
         for i, idx in enumerate(sets):
             cols = W.indices[W.indptr[i]:W.indptr[i + 1]]
             np.testing.assert_array_equal(np.sort(cols), np.sort(idx))
             np.testing.assert_array_equal(W.data[W.indptr[i]:W.indptr[i + 1]], d.weights[cols])
-        want = np.array([d.weights[idx] @ y[idx] / d.weights[idx].sum() for idx in sets])
-        np.testing.assert_allclose(votes, want, rtol=0, atol=1e-12)
         if kind == "integer_grid" and k < len(y):
             assert any(len(idx) > k for idx in sets)  # ties expanded some sets
+    sets = _loop_neighbour_sets(Z, k, Z)
+    want = np.array([d.weights[idx] @ y[idx] / d.weights[idx].sum() for idx in sets])
+    np.testing.assert_allclose(knn_rule(X, d, k)(y[None])[0], want, rtol=0, atol=1e-12)
 
 
 TREE_CASES = ("continuous", "integer_grid", "duplicate_rows",
@@ -127,24 +129,19 @@ def test_tree_neighbour_weights_equal_dense_oracle(kind, k_list):
     X, query = _tree_case(kind, rng)
     n = len(X)
     d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n))
-    model = knn_train(X, (rng.random(n) < 0.5).astype(float), d, max(k_list))
+    y = (rng.random(n) < 0.5).astype(float)
+    Z, Z_query = _standardized_query(X, d.weights, query)
     kept = {"one_column": 1, "one_column_grid": 1, "zero_columns": 0}.get(kind, X.shape[1])
-    assert model.X.shape[1] == kept
-    kc = model.kept_columns
-    Z_query = (query[:, kc] - model.center[kc]) / model.scale[kc]
+    assert Z.shape[1] == kept
     for Zq in (None, Z_query):
-        W = _neighbour_weights(model.X, model.weights, k_list, Zq)
+        W = _neighbour_weights(Z, d.weights, k_list, Zq)
         assert list(W) == k_list
         for k in k_list:
             _assert_same_csr(W[k], _dense_neighbour_weights(
-                model.X, model.weights, k, model.X if Zq is None else Zq))
-    for k in k_list:  # knn_predict and knn_rule reach the same matrices
-        m = knn_train(X, model.y, d, k)
-        want = _dense_neighbour_weights(model.X, model.weights, k, Z_query)
-        np.testing.assert_array_equal(knn_predict(m, query), (want @ m.y) / want.sum(axis=1))
-        want = _dense_neighbour_weights(model.X, model.weights, k, model.X)
-        np.testing.assert_array_equal(knn_rule(X, d, k)(m.y[None])[0],
-                                      (want @ m.y) / want.sum(axis=1))
+                Z, d.weights, k, Z if Zq is None else Zq))
+    for k in k_list:  # knn_rule, one tree per k, reaches the same matrices
+        want = _dense_neighbour_weights(Z, d.weights, k, Z)
+        np.testing.assert_array_equal(knn_rule(X, d, k)(y[None])[0], (want @ y) / want.sum(axis=1))
 
 
 def test_knn_rule_memory_is_not_quadratic():
@@ -163,48 +160,46 @@ def test_knn_rule_memory_is_not_quadratic():
 
 
 class TestKnnTrain:
+    """Building the in-sample vote rule: k checks, standardization, neighbour sets."""
+
     def test_k_equals_n_gives_weighted_majority(self):
         rng = np.random.default_rng(0)
         X, y, d = _binary_data(rng, n=30)
-        model = knn_train(X, y, d, k=30)
-        votes = knn_predict(model, X)
+        votes = knn_rule(X, d, k=30)(y[None])[0]
         majority = float(d.weights @ y) / d.weights.sum()
         np.testing.assert_allclose(votes, majority, atol=1e-12)
 
     def test_k1_self_inclusive_reproduces_outcomes(self):
         rng = np.random.default_rng(1)
         X, y, d = _binary_data(rng, n=40)
-        model = knn_train(X, y, d, k=1)
-        np.testing.assert_array_equal(knn_predict(model, X), y)
+        np.testing.assert_array_equal(knn_rule(X, d, k=1)(y[None])[0], y)
 
     def test_duplicate_points_co_vote(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [-5.0, 2.0]])
         y = np.array([1.0, 0.0, 1.0, 0.0])
         d = SurveyDesign.uniform(4)
-        model = knn_train(X, y, d, k=2)
         # both duplicates are each other's neighbour set; equal weights
-        votes = knn_predict(model, X[:2])
-        np.testing.assert_allclose(votes, 0.5)
+        votes = knn_rule(X, d, k=2)(y[None])[0]
+        np.testing.assert_allclose(votes[:2], 0.5)
 
     def test_k_above_n_rejected(self):
         rng = np.random.default_rng(2)
         X, y, d = _binary_data(rng, n=10)
-        with pytest.raises(ValueError):
-            knn_train(X, y, d, k=11)
+        with pytest.raises(ValueError, match=r"k must lie in \[1, n=10\], got 11"):
+            knn_rule(X, d, k=11)
 
     def test_nonbinary_outcome_rejected(self):
-        with pytest.raises(ValueError):
-            knn_train(np.zeros((3, 1)), np.array([0.0, 0.5, 1.0]),
-                      SurveyDesign.uniform(3), k=1)
+        with pytest.raises(ValueError, match="bernoulli outcomes must be 0/1"):
+            knn_error_report(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 0.5, 1.0]),
+                             SurveyDesign.uniform(3), [1], B=5, seed=0)
 
     def test_zero_variance_column_dropped(self):
         rng = np.random.default_rng(3)
         X, y, d = _binary_data(rng, n=20)
         X_aug = np.column_stack([X, np.full(20, 7.0)])
         with pytest.warns(UserWarning, match="zero-variance"):
-            model = knn_train(X_aug, y, d, k=3)
-        base = knn_train(X, y, d, k=3)
-        np.testing.assert_allclose(knn_predict(model, X_aug), knn_predict(base, X))
+            rule = knn_rule(X_aug, d, k=3)
+        np.testing.assert_allclose(rule(y[None]), knn_rule(X, d, k=3)(y[None]))
 
     def test_constant_column_with_inexact_weighted_mean_dropped(self):
         # random weights leave the weighted mean of 7.0 a rounding error off
@@ -212,12 +207,15 @@ class TestKnnTrain:
         rng = np.random.default_rng(13)
         X, y, d = _binary_data(rng, n=20)
         X_aug = np.column_stack([X, np.full(20, 7.0)])
-        with pytest.warns(UserWarning, match="dropping 1 zero-variance"):
-            model = knn_train(X_aug, y, d, k=3)
-        np.testing.assert_array_equal(model.kept_columns, [0, 1])
         query = np.array([[0.3, -0.2, 7.5], [-1.0, 0.8, 7.5]])
-        np.testing.assert_array_equal(knn_predict(model, query),
-                                      knn_predict(knn_train(X, y, d, k=3), query[:, :2]))
+        with pytest.warns(UserWarning, match="dropping 1 zero-variance"):
+            np.testing.assert_array_equal(_standardize(X_aug, d.weights)[3], [0, 1])
+            Z, Z_query = _standardized_query(X_aug, d.weights, query)
+            rule = knn_rule(X_aug, d, k=3)
+        Z_base, Z_query_base = _standardized_query(X, d.weights, query[:, :2])
+        np.testing.assert_array_equal(Z, Z_base)
+        np.testing.assert_array_equal(Z_query, Z_query_base)
+        np.testing.assert_array_equal(rule(y[None]), knn_rule(X, d, k=3)(y[None]))
 
     def test_all_columns_dropped_every_point_is_a_neighbour(self):
         # with no column left every distance is zero, so all n points tie
@@ -227,80 +225,73 @@ class TestKnnTrain:
         X = np.zeros((20, 2))  # weighted mean exactly 0, so variance exactly 0
         majority = float(d.weights @ y) / d.weights.sum()
         with pytest.warns(UserWarning, match="dropping 2 zero-variance"):
-            model = knn_train(X, y, d, k=3)
-        assert model.kept_columns.size == 0
-        np.testing.assert_allclose(knn_predict(model, [[0.0, 1.0], [0.0, 0.0]]), majority,
-                                   rtol=0, atol=1e-12)
+            Z, Z_query = _standardized_query(X, d.weights, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert Z.shape == (20, 0) and Z_query.shape == (2, 0)
+        W = _neighbour_weights(Z, d.weights, [3], Z_query)[3]
+        np.testing.assert_allclose((W @ y) / W.sum(axis=1), majority, rtol=0, atol=1e-12)
         with pytest.warns(UserWarning, match="zero-variance"):
             rule = knn_rule(X, d, k=3)
         np.testing.assert_allclose(rule(y[None])[0], majority, rtol=0, atol=1e-12)
 
 
 class TestKnnPredict:
+    """The weighted vote of each point's neighbour set, and its invariances."""
+
     def test_unanimous_neighbours(self):
         X = np.array([[0.0], [0.1], [-0.1], [9.0]])
         y = np.array([1.0, 1.0, 1.0, 0.0])
-        model = knn_train(X, y, SurveyDesign.uniform(4), k=3)
-        assert knn_predict(model, [[0.0]])[0] == pytest.approx(1.0)
+        votes = knn_rule(X, SurveyDesign.uniform(4), k=3)(y[None])[0]
+        np.testing.assert_array_equal(votes[:3], 1.0)
 
     def test_split_vote_probability(self):
         rng = np.random.default_rng(4)
         X = np.concatenate([rng.normal(0, 0.01, size=(10, 1)),
                             rng.normal(50, 0.01, size=(5, 1))])
         y = np.concatenate([np.ones(3), np.zeros(7), np.ones(5)])
-        model = knn_train(X, y, SurveyDesign.uniform(15), k=10)
-        assert knn_predict(model, [[0.0]])[0] == pytest.approx(0.3)
+        votes = knn_rule(X, SurveyDesign.uniform(15), k=10)(y[None])[0]
+        np.testing.assert_allclose(votes[:10], 0.3)
 
     def test_weighted_vote(self):
         X = np.array([[0.0], [0.2], [40.0]])
         y = np.array([1.0, 0.0, 1.0])
         d = SurveyDesign(weights=[3.0, 1.0, 1.0])
-        model = knn_train(X, y, d, k=2)
-        assert knn_predict(model, [[0.1]])[0] == pytest.approx(0.75)
+        votes = knn_rule(X, d, k=2)(y[None])[0]
+        np.testing.assert_allclose(votes[:2], 0.75)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         X, y, d = _binary_data(rng, n=35)
         perm = rng.permutation(35)
         d_perm = SurveyDesign(weights=d.weights[perm])
-        m1 = knn_train(X, y, d, k=5)
-        m2 = knn_train(X[perm], y[perm], d_perm, k=5)
-        query = rng.normal(size=(8, 2))
-        np.testing.assert_allclose(knn_predict(m1, query), knn_predict(m2, query), atol=1e-12)
+        votes = knn_rule(X, d, k=5)(y[None])[0]
+        votes_perm = knn_rule(X[perm], d_perm, k=5)(y[perm][None])[0]
+        np.testing.assert_allclose(votes_perm, votes[perm], atol=1e-12)
 
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(6)
         X, y, d = _binary_data(rng, n=35)
         X_scaled = X * np.array([100.0, 0.01]) + np.array([-7.0, 3.0])
-        m1 = knn_train(X, y, d, k=5)
-        m2 = knn_train(X_scaled, y, d, k=5)
-        query = rng.normal(size=(8, 2))
-        np.testing.assert_allclose(
-            knn_predict(m1, query),
-            knn_predict(m2, query * np.array([100.0, 0.01]) + np.array([-7.0, 3.0])),
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(knn_rule(X, d, k=5)(y[None]),
+                                   knn_rule(X_scaled, d, k=5)(y[None]), atol=1e-12)
 
 
 class TestKnnRule:
     def test_matches_train_predict_in_sample(self):
+        # the in-sample rule equals the off-sample query path run on the sample itself
         rng = np.random.default_rng(7)
         X, y, d = _binary_data(rng, n=50)
-        rule = knn_rule(X, d, k=7)
-        mu = rule(y[None])
-        model = knn_train(X, y, d, k=7)
-        np.testing.assert_allclose(mu[0], knn_predict(model, X), atol=1e-12)
-
+        Z, Z_query = _standardized_query(X, d.weights, X)
+        W = _neighbour_weights(Z, d.weights, [7], Z_query)[7]
+        np.testing.assert_allclose(knn_rule(X, d, k=7)(y[None])[0], (W @ y) / W.sum(axis=1),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["integer_grid", "continuous"])
     def test_block_votes_bit_identical_to_per_row_votes(self, kind):
         X, _, d, _ = _neighbour_case(kind, n=60)
         rng = np.random.default_rng(12)
         Y = (rng.random((37, 60)) < 0.5).astype(float)
-        rule = knn_rule(X, d, k=9)
-        mu = rule(Y)
-        model = knn_train(X, Y[0], d, k=9)
-        W = _neighbour_weights(model.X, model.weights, [9])[9]
+        mu = knn_rule(X, d, k=9)(Y)
+        W = _neighbour_weights(_standardize(X, d.weights)[0], d.weights, [9])[9]
         want = np.stack([(W @ y) / W.sum(axis=1) for y in Y])
         np.testing.assert_array_equal(mu, want)
 
@@ -335,6 +326,24 @@ class TestKnnErrorReport:
         with pytest.raises(ValueError, match="repeated neighbour count"):
             knn_error_report(X, y, d, [5, 3, 5], B=5, seed=0)
 
+    @pytest.mark.parametrize("k_list, match", [
+        ([0], r"\[1, n=30\], got 0"), ([3, 31], r"\[1, n=30\], got 31"),
+        ([3.0], "k must be an integer, got 3.0"), ([5, np.float64(2.0)], "integer, got 2.0"),
+        ([5, 3, 5], "repeated neighbour count"),
+    ], ids=["zero", "above_n", "float", "numpy_float", "repeated"])
+    def test_bad_k_rejected_before_the_fit(self, monkeypatch, k_list, match):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the generating model was fitted")
+
+        monkeypatch.setattr(rules, "fit_weighted_glm", no_fit)
+        rng = np.random.default_rng(18)
+        X, y, d = _binary_data(rng, n=30)
+        with pytest.raises(ValueError, match=match):
+            knn_error_report(X, y, d, k_list, B=5, seed=0)
+        if len(k_list) == 1:
+            with pytest.raises(ValueError, match=match):
+                knn_rule(X, d, k_list[0])
+
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         X, y, d = _binary_data(rng, n=30)
@@ -348,11 +357,10 @@ def _report_bits(report):
 
 
 def _per_k_oracle(X, y, d, k_list, B, seed):
-    """One public ``hte_bootstrap`` per k, each redrawing its own replicates."""
+    """One public ``hte_bootstrap`` per k on its own ``knn_rule``: one tree and one draw per k."""
     gen = fit_weighted_glm(np.column_stack([np.ones(len(y)), X]), y, Family(FamilyKind.BERNOULLI), d)
-    W = _neighbour_weights(rules._standardize(X, d.weights)[0], d.weights, k_list)
     loss = Loss(LossKind.ZERO_ONE)
-    return [(k, penalty.hte_bootstrap(rules._vote_rule(W[k]), gen, B, seed, loss)) for k in k_list]
+    return [(k, penalty.hte_bootstrap(knn_rule(X, d, k), gen, B, seed, loss)) for k in k_list]
 
 
 class _CountingTree(spatial.cKDTree):
