@@ -20,7 +20,6 @@ __all__ = [
     "Loss",
     "natural_to_mean",
     "mean_to_natural",
-    "variance",
     "unit_variance",
     "loss_q",
     "lambda_hat",
@@ -65,9 +64,6 @@ class Family:
     def __post_init__(self) -> None:
         if self.dispersion <= 0:
             raise ValueError(f"dispersion must be positive, got {self.dispersion}")
-
-    def with_dispersion(self, dispersion: float) -> "Family":
-        return Family(self.kind, dispersion)
 
 
 @dataclass(frozen=True)
@@ -157,12 +153,22 @@ def unit_variance(family: Family, mu):
     return out if out.ndim else float(out)
 
 
-def variance(family: Family, mu):
-    """Outcome variance at mean mu: sigma^2 (gaussian), mu(1-mu), or mu."""
-    mu = np.asarray(mu, dtype=float)
-    _check_mean_domain(family, mu)
-    out = np.asarray(unit_variance(family, mu)) * family.dispersion
-    return out if out.ndim else float(out)
+def _initial_mu(family: Family, y):
+    """IRLS start values: the outcomes, moved into the open mean domain."""
+    if family.kind is FamilyKind.GAUSSIAN:
+        return y.astype(float).copy()
+    if family.kind is FamilyKind.BERNOULLI:
+        return (y + 0.5) / 2.0
+    return y + 0.1
+
+
+def _draw_responses(rng: np.random.Generator, family: Family, mu):
+    """One outcome draw per unit from the family at means mu (dispersion-scaled gaussian noise)."""
+    if family.kind is FamilyKind.GAUSSIAN:
+        return mu + rng.normal(size=mu.shape) * np.sqrt(family.dispersion)
+    if family.kind is FamilyKind.BERNOULLI:
+        return (rng.random(mu.shape) < mu).astype(float)
+    return rng.poisson(mu).astype(float)
 
 
 def _xlogy(x, y):

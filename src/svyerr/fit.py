@@ -50,7 +50,6 @@ class GlmFit:
 
     theta: np.ndarray
     mu: np.ndarray
-    lam: np.ndarray
     sigma_m: np.ndarray
     design: SurveyDesign
     family: Family
@@ -127,25 +126,16 @@ def _solve_rows(A, b):
         return out
 
 
-def _initial_mu(family: Family, y):
-    if family.kind is FamilyKind.GAUSSIAN:
-        return y.astype(float).copy()
-    if family.kind is FamilyKind.BERNOULLI:
-        return (y + 0.5) / 2.0
-    return y + 0.1
-
-
 @dataclass
 class IrlsBlock:
     """Per-row IRLS results for a block of m outcome rows.
 
-    A row that failed to fit has NaN ``theta``, ``mu`` and ``lam`` and its
-    FitError message in ``errors``; a converged row has ``errors`` None.
+    A row that failed to fit has NaN ``theta`` and ``mu`` and its FitError
+    message in ``errors``; a converged row has ``errors`` None.
     """
 
     theta: np.ndarray  # (m, p)
     mu: np.ndarray  # (m, n)
-    lam: np.ndarray  # (m, n)
     iterations: np.ndarray  # (m,)
     errors: list
 
@@ -174,7 +164,7 @@ def irls(X, Y, family: Family, design: SurveyDesign, *, _basis=None) -> IrlsBloc
     Bt, M = _solve_basis(X, w) if _basis is None else _basis
     deviance = fam.Loss(fam.LossKind.DEVIANCE, family)
     out = IrlsBlock(
-        theta=np.full((m, p), np.nan), mu=np.full((m, n), np.nan), lam=np.full((m, n), np.nan),
+        theta=np.full((m, p), np.nan), mu=np.full((m, n), np.nan),
         iterations=np.zeros(m, dtype=int), errors=[None] * m,
     )  # filled in as rows leave the iteration
 
@@ -182,7 +172,7 @@ def irls(X, Y, family: Family, design: SurveyDesign, *, _basis=None) -> IrlsBloc
     rows, y = np.arange(m), Y
     scale = np.maximum(1.0, np.max(np.abs((w * np.abs(Y) + w) @ X), axis=1))
     theta = np.zeros((m, p))
-    mu = _initial_mu(family, Y)
+    mu = fam._initial_mu(family, Y)
     lam = np.asarray(fam.mean_to_natural(family, mu))
     dev = np.full(m, np.inf)  # no deviance to beat before the unconditional first step
 
@@ -237,7 +227,7 @@ def irls(X, Y, family: Family, design: SurveyDesign, *, _basis=None) -> IrlsBloc
         done = np.max(np.abs(score), axis=1) <= TOL_SCORE * scale
         if done.any():
             r = rows[done]
-            out.theta[r], out.mu[r], out.lam[r] = theta[done], mu[done], lam[done]
+            out.theta[r], out.mu[r] = theta[done], mu[done]
             out.iterations[r] = it
             rows, y, scale, theta, mu, lam, dev = leave(~done, None)
             if rows.size == 0:
@@ -271,8 +261,10 @@ def fit_weighted_glm(
     block = irls(X, y[None], family, design)
     if block.errors[0] is not None:
         raise FitError(block.errors[0])
-    theta, mu, lam = block.theta[0], block.mu[0], block.lam[0]
+    theta, mu = block.theta[0], block.mu[0]
 
+    # the linear predictor of the accepted step, formed as irls formed it
+    lam = (theta[None] @ X.T)[0]
     separation = bool(
         family.kind is not FamilyKind.GAUSSIAN
         and np.any(np.abs(lam) >= fam.NATURAL_CLAMP - 1e-9)
@@ -285,14 +277,13 @@ def fit_weighted_glm(
         sigma2 = float(design.weights @ (y - mu) ** 2 / design.weights.sum())
         if sigma2 <= 0.0:
             sigma2 = np.finfo(float).tiny
-        fitted_family = family.with_dispersion(sigma2)
+        fitted_family = Family(family.kind, sigma2)
 
     loss = fam.Loss(fam.LossKind.DEVIANCE, fitted_family)
     v = np.asarray(fam.unit_variance(fitted_family, mu))
     return GlmFit(
         theta=theta,
         mu=mu,
-        lam=lam,
         sigma_m=v,
         design=design,
         family=fitted_family,

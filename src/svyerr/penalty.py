@@ -23,7 +23,7 @@ from . import design as dsn
 from . import families as fam
 from . import fit as fitting
 from .design import MeatStructure, SurveyDesign
-from .families import Family, FamilyKind, Loss, LossKind
+from .families import Family, Loss, LossKind
 from .fit import FitError, GlmFit, SandwichVariance, irls, sandwich_variance
 
 __all__ = [
@@ -173,8 +173,7 @@ def estimate_dispersion(fit: GlmFit) -> tuple[float, float]:
     sum ((sum e)^2 - sum e^2) / 2.
     """
     psu, _ = dsn.psu_cells(fit.design)
-    v = np.asarray(fam.variance(fit.family, fit.mu))
-    e = (fit.y - fit.mu) / np.sqrt(v)
+    e = (fit.y - fit.mu) / np.sqrt(fit.sigma_m * fit.family.dispersion)
     sizes = np.bincount(psu)
     npairs = int((sizes * (sizes - 1) // 2).sum())
     if npairs == 0:
@@ -185,14 +184,6 @@ def estimate_dispersion(fit: GlmFit) -> tuple[float, float]:
     nbar = float(np.mean(sizes))
     phi = 1.0 + (nbar - 1.0) * rho
     return float(rho), float(phi)
-
-
-def _draw_responses(rng: np.random.Generator, family: Family, mu: np.ndarray):
-    if family.kind is FamilyKind.GAUSSIAN:
-        return mu + rng.normal(size=mu.shape) * np.sqrt(family.dispersion)
-    if family.kind is FamilyKind.BERNOULLI:
-        return (rng.random(mu.shape) < mu).astype(float)
-    return rng.poisson(mu).astype(float)
 
 
 def glm_rule(X, design: SurveyDesign, family: Family) -> PredictionRule:
@@ -257,7 +248,7 @@ def _bootstrap_reports(
     kept = [0] * len(rules)
     for start in range(0, B, _BLOCK):
         Y = np.stack([
-            _draw_responses(np.random.default_rng([seed, b]), gen.family, gen.mu)
+            fam._draw_responses(np.random.default_rng([seed, b]), gen.family, gen.mu)
             for b in range(start, min(start + _BLOCK, B))
         ])
         for r, rule in enumerate(rules):

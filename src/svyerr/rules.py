@@ -129,13 +129,16 @@ def _vote_rule(W: sparse.csr_array) -> pen.PredictionRule:
 def _vote_rules(X, design: SurveyDesign, k_list) -> list[pen.PredictionRule]:
     """One in-sample vote rule per neighbour count, in the order of ``k_list``.
 
-    Each k must be an integer in [1, n] and none may repeat; the checks
-    run before any work.  X is standardized once and one neighbour query
-    serves every k.  The neighbour structure depends only on X, so each
-    rule reuses it when the bootstrap retrains on blocks of outcome rows.
+    X must be 2-D with one row per unit of the design, each k an integer
+    in [1, n], and no k may repeat; the checks run before any work.  X is
+    standardized once and one neighbour query serves every k.  The
+    neighbour structure depends only on X, so each rule reuses it when the
+    bootstrap retrains on blocks of outcome rows.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
+    X = np.asarray(X, dtype=float)
+    n = design.n
+    if X.ndim != 2 or X.shape[0] != n:
+        raise ValueError(f"X must be 2-D with the design's n={n} rows, got shape {X.shape}")
     for k in k_list:
         try:
             operator.index(k)
@@ -166,7 +169,7 @@ def knn_error_report(
     k's neighbour weights; each k's report equals ``penalty.hte_bootstrap``
     on ``knn_rule(X, design, k)`` bit for bit.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
     rules = _vote_rules(X, design, k_list)
     gen = fit_weighted_glm(
         np.column_stack([np.ones(X.shape[0]), X]), y, Family(FamilyKind.BERNOULLI), design

@@ -20,7 +20,6 @@ from svyerr.families import (
     mean_to_natural,
     natural_to_mean,
     unit_variance,
-    variance,
 )
 
 GAUSS = Family(FamilyKind.GAUSSIAN)
@@ -130,18 +129,19 @@ class TestMeanToNatural:
 
 class TestVariance:
     def test_bernoulli_maximum(self):
-        assert variance(BERN, 0.5) == pytest.approx(0.25)
+        assert unit_variance(BERN, 0.5) == pytest.approx(0.25)
 
     def test_gaussian_constant(self):
-        assert variance(Family(FamilyKind.GAUSSIAN, 2.0), -17.3) == pytest.approx(2.0)
+        # unit-dispersion scale: sigma^2 is carried by the family, not the variance function
+        assert unit_variance(Family(FamilyKind.GAUSSIAN, 2.0), -17.3) == pytest.approx(1.0)
 
     def test_poisson_identity(self):
-        assert variance(POIS, 3.7) == pytest.approx(3.7)
+        assert unit_variance(POIS, 3.7) == pytest.approx(3.7)
 
     @pytest.mark.parametrize("family", [GAUSS, BERN, POIS])
     def test_positive_on_open_domain(self, family):
         mu = np.linspace(0.05, 0.95, 13)
-        assert np.all(np.asarray(variance(family, mu)) > 0.0)
+        assert np.all(np.asarray(unit_variance(family, mu)) > 0.0)
 
     def test_positive_dispersion_required(self):
         with pytest.raises(ValueError):

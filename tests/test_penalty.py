@@ -26,7 +26,7 @@ SQERR = Loss(LossKind.SQUARED_ERROR)
 
 def _loop_estimate_dispersion(fit):
     """Reference rho-hat and phi-hat: one full-sample mask per PSU."""
-    v = np.asarray(fam.variance(fit.family, fit.mu))
+    v = np.asarray(fam.unit_variance(fit.family, fit.mu)) * fit.family.dispersion
     e = (fit.y - fit.mu) / np.sqrt(v)
     num = 0.0
     npairs = 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse, spatial
 
-from svyerr import penalty, rules
+from svyerr import families, penalty, rules
 from svyerr.design import SurveyDesign
 from svyerr.families import Family, FamilyKind, Loss, LossKind
 from svyerr.fit import fit_weighted_glm
@@ -344,6 +344,23 @@ class TestKnnErrorReport:
             with pytest.raises(ValueError, match=match):
                 knn_rule(X, d, k_list[0])
 
+    @pytest.mark.parametrize("shape, k", [((20,), 3), ((20,), 1), ((25, 2), 3)],
+                             ids=["1d", "1d_k1", "extra_rows"])
+    @pytest.mark.parametrize("entry", ["knn_rule", "knn_error_report"])
+    def test_x_shape_checked_against_design_before_any_work(self, monkeypatch, entry, shape, k):
+        def no_work(*args, **kwargs):
+            raise AssertionError("X was standardized before its shape was checked")
+
+        monkeypatch.setattr(rules, "_standardize", no_work)
+        rng = np.random.default_rng(19)
+        X, d = rng.normal(size=shape), SurveyDesign.uniform(20)
+        y = (rng.random(20) < 0.5).astype(float)
+        with pytest.raises(ValueError, match=r"design's n=20 rows, got shape \(" + str(shape[0])):
+            if entry == "knn_rule":
+                knn_rule(X, d, k)
+            else:
+                knn_error_report(X, y, d, [k], B=5, seed=0)
+
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         X, y, d = _binary_data(rng, n=30)
@@ -397,13 +414,13 @@ class TestKnnErrorReportSharesReplicates:
 
     def _count_draws(self, monkeypatch):
         calls = []
-        draw = penalty._draw_responses
+        draw = families._draw_responses
 
         def counted(*args):
             calls.append(None)
             return draw(*args)
 
-        monkeypatch.setattr(penalty, "_draw_responses", counted)
+        monkeypatch.setattr(families, "_draw_responses", counted)
         return calls
 
     def test_each_replicate_drawn_once_for_every_k(self, monkeypatch):
@@ -420,3 +437,36 @@ class TestKnnErrorReportSharesReplicates:
         calls = self._count_draws(monkeypatch)
         assert knn_error_report(X, y, d, [], B=5, seed=0) == []
         assert calls == []
+
+
+class TestLinearVoteOracle:
+    """Under squared-error loss the vote is linear in the outcomes, mu-hat = S y,
+    with S the row-normalised neighbour weights.  Independent Bernoulli draws
+    at the generating means mu then give the HT covariance penalty in closed
+    form, omega = (2/N) sum_i w_i S_ii mu_i (1 - mu_i): Efron's (2004)
+    covariance penalty of a linear smoother.  The bootstrap must meet it
+    within its Monte Carlo error, estimated across seeds.
+    """
+
+    def test_bootstrap_mean_within_3_se_of_closed_form(self):
+        n, ks, B, R = 2_000, (10, 40), 200, 30
+        # the benchmark's knn data (data seed 3)
+        rng = np.random.default_rng([3, 11])
+        X = rng.normal(size=(n, 2))
+        prob = 1.0 / (1.0 + np.exp(-0.3 * (0.2 + X[:, 0] + X[:, 1])))
+        y = (rng.random(n) < prob).astype(float)
+        d = SurveyDesign(weights=1.0 / rng.uniform(0.1, 1.0, size=n))
+        gen = fit_weighted_glm(np.column_stack([np.ones(n), X]), y, Family(FamilyKind.BERNOULLI), d)
+        W = _neighbour_weights(_standardize(X, d.weights)[0], d.weights, ks)
+        vote_rules = [rules._vote_rule(W[k]) for k in ks]
+        loss = Loss(LossKind.SQUARED_ERROR)
+        omega_hat = np.array([
+            [r.omega_hat for r in penalty._bootstrap_reports(vote_rules, gen, B, seed, loss)]
+            for seed in range(R)
+        ])
+        for j, k in enumerate(ks):
+            s_ii = W[k].diagonal() / W[k].sum(axis=1)
+            omega = 2.0 * d.mean(s_ii * gen.mu * (1.0 - gen.mu))
+            se = omega_hat[:, j].std(ddof=1) / np.sqrt(R)
+            z = (omega_hat[:, j].mean() - omega) / se
+            assert abs(z) <= 3.0, f"k={k}: bootstrap mean {omega_hat[:, j].mean():.6f}, closed form {omega:.6f}, z={z:+.2f}"
