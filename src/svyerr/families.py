@@ -82,26 +82,30 @@ class Loss:
             raise ValueError("deviance loss requires a family")
 
 
-def _clamp(lam):
-    return np.clip(lam, -NATURAL_CLAMP, NATURAL_CLAMP)
-
-
-def natural_to_mean(family: Family, lam):
+def natural_to_mean(family: Family, lam, *, out=None):
     """Mean parameter mu = d(psi)/d(lambda).
 
     Gaussian uses the identity link; bernoulli the logistic; poisson the
     exponential.  Linear predictors are saturated at +-30 before
-    exponentiation to avoid overflow.
+    exponentiation to avoid overflow.  The result is built in one array:
+    a new one, or ``out`` (of lam's shape; it may be lam itself).
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam)):
         raise DomainError("natural parameter must be finite")
+    if out is None:
+        out = np.empty_like(lam)
     if family.kind is FamilyKind.GAUSSIAN:
-        out = lam.copy()
-    elif family.kind is FamilyKind.BERNOULLI:
-        out = 1.0 / (1.0 + np.exp(-_clamp(lam)))
+        np.copyto(out, lam)
     else:
-        out = np.exp(_clamp(lam))
+        np.clip(lam, -NATURAL_CLAMP, NATURAL_CLAMP, out=out)
+        if family.kind is FamilyKind.BERNOULLI:  # 1 / (1 + exp(-lam))
+            np.negative(out, out=out)
+            np.exp(out, out=out)
+            out += 1.0
+            np.divide(1.0, out, out=out)
+        else:
+            np.exp(out, out=out)
     return out if out.ndim else float(out)
 
 

@@ -1,10 +1,11 @@
 """Monte Carlo studies of the HT-weighted covariance penalty.
 
 Generates finite populations under the eight benchmark scenarios, draws
-fixed-size successive-draw PPS samples, and runs the optimism and
+fixed-size PPS samples without replacement, and runs the optimism and
 HTE-versus-naive-AIC experiments with per-replicate seed streams so the
 results are reproducible regardless of execution order; the replicates
-run on forked workers where that pays (``_map_replicates``).
+run on forked workers where that pays (``_map_replicates``), and each
+chunk of them reuses one :class:`Workspace` of population-sized arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "ExperimentSummary",
     "CaseControlSpec",
     "SCENARIO_IDS",
+    "Workspace",
     "generate_population",
     "draw_sample",
     "run_optimism_experiment",
@@ -107,58 +109,117 @@ class CaseControlSpec:
                 raise ValueError("fractions must lie in (0, 1)")
 
 
-def generate_population(spec: ScenarioSpec, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class Workspace:
+    """Population-sized arrays that a run of replicates reuses.
+
+    ``generate_population`` and ``draw_sample`` fill the workspace passed
+    as ``out`` instead of allocating; the arrays they return are views of
+    it, valid until its next use.  ``array(name, N)`` is the length-N
+    array called ``name``, made on first use and again only when N
+    changes; "log_index" is made filled with the index-driven size
+    measure log(i+1), i = 1..N.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, N: int) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or len(a) != N:
+            a = np.log(np.arange(1, N + 1) + 1.0) if name == "log_index" else np.empty(N)
+            self._arrays[name] = a
+        return a
+
+
+def generate_population(
+    spec: ScenarioSpec, seed, *, out: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw (X_N, y_N, raw size measure) for one scenario.
 
     The gaussian noise scale is read as a standard deviation (|X| or
     log(i+1)); index-driven size measures use log(i+1) so the first unit
     keeps a positive inclusion probability.  The inverse-|X| size measure
     is capped at its 99.9th percentile so one near-zero draw cannot
-    absorb the whole sample.
+    absorb the whole sample.  With ``out`` the three arrays are views of
+    its "x", "y" and "size" (or "log_index") arrays, and its "p" array is
+    scratch; without it they are new.
     """
+    ws = Workspace() if out is None else out
     rng = np.random.default_rng(seed)
     N = spec.pop_size
-    x = rng.normal(size=N)
     sid = spec.id
+    x = rng.standard_normal(out=ws.array("x", N))
+    y = ws.array("y", N)
     # log(i+1): the s3 noise scale and the index-driven size measure
     by_index = sid in ("s1", "s2_gauss", "s2_bern", "s3")
-    log_index = np.log(np.arange(1, N + 1) + 1.0) if by_index else None
+    size = ws.array("log_index" if by_index else "size", N)
     if sid.endswith("_bern"):
         from scipy import special
 
-        y = (rng.random(N) < special.ndtr(x)).astype(float)
-    elif sid == "s1":
-        y = x + rng.normal(size=N)
-    elif sid == "s3":
-        y = x + rng.normal(size=N) * log_index
-    else:  # s2_gauss, s4a_gauss, s4b_gauss
-        y = x + rng.normal(size=N) * np.abs(x)
-    if by_index:
-        size = log_index
-    elif sid.startswith("s4a"):
-        size = np.abs(x)
-        size = np.maximum(size, 1e-12)
-    else:  # s4b
-        inv = 1.0 / np.maximum(np.abs(x), 1e-300)
-        size = np.minimum(inv, np.quantile(inv, 0.999))
+        rng.random(out=y)
+        np.less(y, special.ndtr(x, out=ws.array("p", N)), out=y)
+    else:
+        rng.standard_normal(out=y)
+        if sid == "s3":
+            y *= size
+        elif sid != "s1":  # s2_gauss, s4a_gauss, s4b_gauss
+            y *= np.abs(x, out=ws.array("p", N))
+        y += x
+    if sid.startswith("s4a"):
+        np.maximum(np.abs(x, out=size), 1e-12, out=size)
+    elif sid.startswith("s4b"):
+        np.divide(1.0, np.maximum(np.abs(x, out=size), 1e-300, out=size), out=size)
+        tmp = ws.array("p", N)
+        np.copyto(tmp, size)  # the quantile partitions tmp in place; size keeps its order
+        np.minimum(size, np.quantile(tmp, 0.999, overwrite_input=True), out=size)
     return x, y, size
 
 
 def draw_sample(
-    population: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, seed
+    population: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, seed,
+    *, out: Workspace | None = None,
 ) -> tuple[np.ndarray, SurveyDesign]:
-    """Fixed-size PPS draw; returns selected indices and their design.
+    """Fixed-size PPS draw without replacement; returns selected indices and their design.
 
-    Mimics common survey software: n successive draws without replacement
-    with probability proportional to size, weighted by the nominal
-    pi = min(1, n m / sum m); under very skewed size measures the nominal
-    pi can differ materially from the realized inclusion frequencies.
+    With p = m / sum m for the size measure m, the draw runs in rounds:
+    each draws one uniform per unit still to be chosen, maps it through
+    the cumulative sum of p with the units chosen so far set to zero,
+    and keeps the first occurrence of each unit, until n units are
+    chosen.  These are the rounds of numpy's ``Generator.choice(N, n,
+    replace=False, p=p)``, and a seed gives the same indices.  The
+    sample is weighted by the nominal pi = min(1, n m / sum m), as common
+    survey software does; under very skewed size measures the nominal pi
+    can differ materially from the realized inclusion frequencies.
+
+    m must be finite and non-negative, with at least n positive entries
+    (``ValueError`` otherwise).  With ``out``, p and the cumulative sums
+    are formed in its "p" and "cdf" arrays.
     """
     m = np.asarray(population[2], dtype=float)
     N = len(m)
+    total = m.sum()
+    if not np.isfinite(total):
+        raise ValueError("size measure must be finite, and so must its sum")
+    if m.min(initial=0.0) < 0.0:
+        raise ValueError("size measure must be non-negative")
+    ws = Workspace() if out is None else out
+    p = ws.array("p", N)
+    if not (total > 0.0 and np.count_nonzero(np.divide(m, total, out=p)) >= n):
+        raise ValueError(f"size measure must have at least n={n} positive entries")
+    cdf = ws.array("cdf", N)
     rng = np.random.default_rng(seed)
-    idx = rng.choice(N, size=n, replace=False, p=m / m.sum())
-    pi = np.minimum(1.0, n * m[idx] / m.sum())
+    idx = np.empty(n, dtype=np.int64)
+    k = 0
+    while k < n:
+        u = rng.random(n - k)
+        np.cumsum(p, out=cdf)
+        cdf /= cdf[-1]
+        new = cdf.searchsorted(u, side="right")
+        new = new[np.sort(np.unique(new, return_index=True)[1])]
+        idx[k:k + len(new)] = new
+        p[new] = 0.0
+        k += len(new)
+    pi = np.minimum(1.0, n * m[idx] / total)
     return idx, SurveyDesign(pi=pi, pop_size=float(N))
 
 
@@ -180,7 +241,8 @@ def _check_failures(failures: int, reps: int) -> None:
 
 
 # Fan-out pays only past this many population units over all replicates: a
-# replicate costs about 90 ns per unit, a fork plus join 10-20 ms.
+# replicate costs about 70-140 ns per unit at N = 100,000 (one BLAS thread,
+# 2-vCPU VM), a fork plus join 10-20 ms.
 _FORK_MIN_WORK = 1_000_000
 
 
@@ -217,11 +279,15 @@ def _worker_count(tasks: int, work: int) -> int:
 
 
 def _run_chunk(step, tasks) -> list:
-    return [step(*task) for task in tasks]
+    """``[step(*task, ws) for task in tasks]``, with one workspace for the chunk."""
+    ws = Workspace()
+    return [step(*task, ws) for task in tasks]
 
 
 def _map_replicates(step, tasks: list[tuple], sizes: list[int]) -> list:
-    """``[step(*task) for task in tasks]``, fanned out over forked workers.
+    """``[step(*task, ws) for task in tasks]``, fanned out over forked workers.
+
+    Each chunk of tasks gets its own ``Workspace`` ``ws`` (see ``_run_chunk``).
 
     ``sizes`` is each task's population size.  The tasks are cut into one
     contiguous chunk per worker, of about equal total size; the parent
@@ -246,20 +312,24 @@ def _map_replicates(step, tasks: list[tuple], sizes: list[int]) -> list:
     return results
 
 
-def _optimism_replicate(spec: ScenarioSpec, seed: int, rep: int) -> dict | None:
-    """One optimism replicate's record, or None when a fit fails."""
+def _optimism_replicate(spec: ScenarioSpec, seed: int, rep: int, ws: Workspace) -> dict | None:
+    """One optimism replicate's record, or None when a fit fails; ``ws`` holds its population."""
     family = spec.family
-    pop = generate_population(spec, [seed, rep, 0])
+    pop = generate_population(spec, [seed, rep, 0], out=ws)
     x, y, _ = pop
-    idx, design = draw_sample(pop, spec.sample_size, [seed, rep, 1])
+    idx, design = draw_sample(pop, spec.sample_size, [seed, rep, 1], out=ws)
     try:
         f, report, naive = _fit_replicate(
             x[idx], y[idx], family, design, Loss(LossKind.SQUARED_ERROR)
         )
     except FitError:
         return None
-    mu_pop = fam.natural_to_mean(family, f.theta[0] + f.theta[1] * x)
-    Err = float(np.mean((y - mu_pop) ** 2))
+    # Err = mean((y - mu)^2) over the population, formed in the draw's p array
+    e = np.multiply(x, f.theta[1], out=ws.array("p", len(x)))
+    e += f.theta[0]
+    fam.natural_to_mean(family, e, out=e)
+    np.subtract(y, e, out=e)
+    Err = float(np.mean(np.square(e, out=e)))
     return {
         "Err": Err,
         "err": report.err_weighted,
@@ -276,10 +346,10 @@ def run_optimism_experiment(spec: ScenarioSpec, reps: int, seed: int) -> Experim
     Each replicate regenerates the population, draws a sample, fits the
     intercept-plus-slope model with inverse-probability weights, and
     records the squared-error in-sample error, finite-population error,
-    and the analytic optimism estimate.  The successive-draw PPS sampler
-    carries nominal inclusion probabilities; under the heavily
-    skewed size measures these can diverge from the realized frequencies,
-    which is exactly the weighting-mismatch regime the benchmark probes.
+    and the analytic optimism estimate.  The PPS sampler carries nominal
+    inclusion probabilities; under the heavily skewed size measures these
+    can diverge from the realized frequencies, which is exactly the
+    weighting-mismatch regime the benchmark probes.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -298,17 +368,25 @@ def _case_control_pop_size(cc: CaseControlSpec) -> int:
     return int(max(10 * n, math.ceil(0.4 * n / cc.prevalence)))
 
 
-def _case_control_population(cc: CaseControlSpec, rng: np.random.Generator):
-    """Population (X, y, case indicator) with the requested case prevalence."""
+def _case_control_population(cc: CaseControlSpec, rng: np.random.Generator, ws: Workspace):
+    """Population (X, y, case indicator) with the requested case prevalence.
+
+    X and y are views of ``ws``'s "x" and "y" arrays, and the event
+    probabilities are formed in its "p" array.
+    """
     from scipy import optimize, special
 
     N = _case_control_pop_size(cc)
-    x = rng.normal(size=N)
+    x = rng.standard_normal(out=ws.array("x", N))
+    p = ws.array("p", N)
+
+    def event_prob(a):  # expit(a + x), in p
+        return special.expit(np.add(x, a, out=p), out=p)
+
     # intercept tuned so the realized event rate matches the prevalence
-    a = optimize.brentq(
-        lambda a: special.expit(a + x).mean() - cc.prevalence, -40.0, 10.0
-    )
-    y = (rng.random(N) < special.expit(a + x)).astype(float)
+    a = optimize.brentq(lambda a: event_prob(a).mean() - cc.prevalence, -40.0, 10.0)
+    y = rng.random(out=ws.array("y", N))
+    np.less(y, event_prob(a), out=y)
     return x, y, y == 1.0
 
 
@@ -336,15 +414,16 @@ def _mc_se(v: np.ndarray) -> float:
     return float(v.std(ddof=1) / math.sqrt(len(v)))
 
 
-def _case_control_replicate(cc: CaseControlSpec, seed: int, cell: int, rep: int):
+def _case_control_replicate(cc: CaseControlSpec, seed: int, cell: int, rep: int, ws: Workspace):
     """One case-control replicate's relative errors (HTE, naive AIC), or None when a fit fails.
 
-    True error is the deviance on the unsampled part of the population.
+    True error is the deviance on the unsampled part of the population,
+    which ``ws`` holds.
     """
     family = Family(FamilyKind.BERNOULLI)
     loss = Loss(LossKind.DEVIANCE, family)
     rng = np.random.default_rng([seed, cell, rep])
-    x, y, cases = _case_control_population(cc, rng)
+    x, y, cases = _case_control_population(cc, rng, ws)
     idx, design = _case_control_draw(cases, cc.sample_size, cc.case_fraction, rng)
     try:
         f, report, naive = _fit_replicate(x[idx], y[idx], family, design, loss)

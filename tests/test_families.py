@@ -99,6 +99,51 @@ class TestNaturalToMean:
         # extreme predictors saturate instead of overflowing
         assert np.isfinite(natural_to_mean(POIS, 1e6))
 
+    @staticmethod
+    def _allocating(family, lam):
+        """The formula before the result was built in one array."""
+        lam = np.asarray(lam, dtype=float)
+        clamped = np.clip(lam, -NATURAL_CLAMP, NATURAL_CLAMP)
+        if family.kind is FamilyKind.GAUSSIAN:
+            out = lam.copy()
+        elif family.kind is FamilyKind.BERNOULLI:
+            out = 1.0 / (1.0 + np.exp(-clamped))
+        else:
+            out = np.exp(clamped)
+        return out if out.ndim else float(out)
+
+    @pytest.mark.parametrize("family", [GAUSS, BERN, POIS], ids=lambda f: f.kind.value)
+    @pytest.mark.parametrize("shape", [(1, 100_000), (32, 500), ()])
+    def test_bit_identical_to_allocating_formula(self, family, shape):
+        # scale 20 puts some predictors past the +-30 clamp
+        lam = np.random.default_rng(7).normal(scale=20.0, size=shape)
+        before = np.copy(lam)
+        got = natural_to_mean(family, lam)
+        want = self._allocating(family, lam)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert type(got) is type(want)
+        assert lam.tobytes() == before.tobytes()  # the input is not modified
+
+    @pytest.mark.parametrize("family", [GAUSS, BERN, POIS], ids=lambda f: f.kind.value)
+    def test_out_receives_the_result(self, family):
+        lam = np.random.default_rng(8).normal(scale=20.0, size=(3, 50))
+        want = natural_to_mean(family, lam)
+        out = np.empty_like(lam)
+        assert natural_to_mean(family, lam, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        # in place: out may be the input itself
+        assert natural_to_mean(family, lam, out=lam) is lam
+        assert lam.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", [GAUSS, BERN, POIS], ids=lambda f: f.kind.value)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected_before_out_is_written(self, family, bad):
+        lam = np.array([0.5, bad, -1.0])
+        out = np.full(3, 9.0)
+        with pytest.raises(DomainError, match="natural parameter must be finite"):
+            natural_to_mean(family, lam, out=out)
+        assert np.all(out == 9.0)
+
 
 class TestMeanToNatural:
     def test_bernoulli_at_half(self):

@@ -8,6 +8,7 @@ import itertools
 import math
 import multiprocessing
 import threading
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +166,69 @@ class TestDrawSample:
         np.testing.assert_array_equal(i1, i2)
         np.testing.assert_array_equal(d1.weights, d2.weights)
 
+    @staticmethod
+    def _choice(m, n, seed):
+        """The draw numpy's Generator.choice makes with the same seed and p."""
+        return np.random.default_rng(seed).choice(len(m), n, replace=False, p=m / m.sum())
+
+    @pytest.mark.parametrize("scenario", ["s1", "s3", "s2_bern", "s4b_gauss"])
+    def test_equals_numpy_choice_on_benchmark_size_measures(self, scenario):
+        # the perfbench simulate workload's populations and seed streams
+        spec = ScenarioSpec(id=scenario, pop_size=100_000, sample_size=1_000)
+        ws = sim.Workspace()
+        for seed in range(4):
+            pop = generate_population(spec, [seed, 0, 0], out=ws)
+            idx, _ = draw_sample(pop, 1_000, [seed, 0, 1], out=ws)
+            np.testing.assert_array_equal(idx, self._choice(pop[2], 1_000, [seed, 0, 1]))
+
+    def test_equals_numpy_choice_with_many_duplicate_rounds(self):
+        rng = np.random.default_rng(2024)
+        repeated_rounds = 0
+        for seed in range(300):
+            N = int(rng.integers(5, 61))
+            m = rng.exponential(size=N) ** 3  # skewed: the first round repeats units
+            m[rng.random(N) < 0.2] = 0.0
+            if not m.any():
+                m[0] = 1.0
+            n = int(rng.integers(1, np.count_nonzero(m) + 1))
+            idx, design = draw_sample((np.zeros(N), np.zeros(N), m), n, seed)
+            np.testing.assert_array_equal(idx, self._choice(m, n, seed))
+            np.testing.assert_array_equal(design.weights, 1.0 / np.minimum(1.0, n * m[idx] / m.sum()))
+            cdf = np.cumsum(m / m.sum())
+            first = (cdf / cdf[-1]).searchsorted(np.random.default_rng(seed).random(n), side="right")
+            repeated_rounds += len(np.unique(first)) < n  # a second round was needed
+        assert repeated_rounds > 200
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "m, problem",
+        [
+            ([1.0, np.nan, 1.0, 1.0], "finite"),
+            ([1.0, np.inf, 1.0, 1.0], "finite"),
+            ([1.0, -np.inf, 1.0, 1.0], "finite"),
+            ([1e308, 1e308, 1.0, 1.0], "finite"),  # finite entries whose sum overflows
+            ([1.0, -1e-3, 1.0, 1.0], "non-negative"),
+        ],
+        ids=["nan", "inf", "minus_inf", "overflowing_sum", "negative"],
+    )
+    def test_bad_size_measure_rejected(self, m, problem):
+        with pytest.raises(ValueError, match=f"^size measure must be {problem}"):
+            draw_sample((np.zeros(4), np.zeros(4), np.array(m)), 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            ([0.0, 1.0, 0.0, 2.0, 0.0], 3),
+            ([0.0, 0.0, 0.0, 0.0, 0.0], 3),
+            ([1e300, 1e300, 5e-324, 0.0, 0.0], 3),  # three positive, but m / sum m has two
+            ([1.0, 1.0, 1.0, 1.0, 1.0], 6),  # a larger sample than the population
+        ],
+        ids=["two_positive", "all_zero", "underflow", "n_above_N"],
+    )
+    def test_fewer_positive_entries_than_n_rejected(self, m, n):
+        with pytest.raises(ValueError, match=f"^size measure must have at least n={n} positive"):
+            draw_sample((np.zeros(5), np.zeros(5), np.array(m)), n, seed=0)
+
 
 class TestRunOptimismExperiment:
     def test_single_replicate_aggregates_equal_record(self):
@@ -311,16 +375,16 @@ class TestFanOut:
         if experiment == "optimism":
             real = sim.generate_population
 
-            def population(spec, seed):
-                x, y, size = real(spec, seed)
+            def population(spec, seed, *, out=None):
+                x, y, size = real(spec, seed, out=out)
                 return (np.zeros_like(x) if seed[1] in reps else x), y, size
 
             monkeypatch.setattr(sim, "generate_population", population)
         else:
             real = sim._case_control_population
 
-            def population(cc, rng):
-                x, y, cases = real(cc, rng)
+            def population(cc, rng, ws):
+                x, y, cases = real(cc, rng, ws)
                 rep = rng.bit_generator.seed_seq.entropy[-1]
                 return (np.zeros_like(x) if rep in reps else x), y, cases
 
@@ -369,10 +433,10 @@ class TestFanOut:
     def test_other_error_in_a_child_propagates(self, monkeypatch):
         real = sim.generate_population
 
-        def population(spec, seed):
+        def population(spec, seed, *, out=None):
             if seed[1] == 4:
                 raise RuntimeError("population 4 failed")
-            return real(spec, seed)
+            return real(spec, seed, out=out)
 
         monkeypatch.setattr(sim, "generate_population", population)
         with pytest.raises(RuntimeError, match="population 4 failed"):
@@ -391,6 +455,118 @@ class TestFanOut:
         # 3 reps of 5,000 units: the CPU rule alone would fork 3 workers
         assert sim._worker_count(3, sim._FORK_MIN_WORK) == 3
         assert len(run_optimism_experiment(self.SPEC, reps=3, seed=5).records) == 3
+
+
+def _peak_bytes(fn):
+    """tracemalloc's peak over ``fn()``, measured from the memory traced before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def _allocating_case_control_population(cc, rng):
+    """The case-control population as drawn before it used a workspace."""
+    from scipy import optimize, special
+
+    N = sim._case_control_pop_size(cc)
+    x = rng.normal(size=N)
+    a = optimize.brentq(lambda a: special.expit(a + x).mean() - cc.prevalence, -40.0, 10.0)
+    y = (rng.random(N) < special.expit(a + x)).astype(float)
+    return x, y, y == 1.0
+
+
+class TestWorkspace:
+    """One workspace per chunk of replicates moves no seeded number."""
+
+    POP = 100_000
+    ARRAY_BYTES = 8 * POP  # one float array over the population
+
+    @pytest.mark.parametrize("scenario", sim.SCENARIO_IDS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_experiment_records_equal_lone_replicates(self, monkeypatch, scenario, workers):
+        monkeypatch.setattr(sim, "_worker_count", lambda tasks, work: workers)
+        spec = ScenarioSpec(id=scenario, pop_size=5000, sample_size=200)
+        records = run_optimism_experiment(spec, reps=4, seed=9).records
+        fresh = [sim._optimism_replicate(spec, 9, rep, sim.Workspace()) for rep in range(4)]
+        assert _hex(records) == _hex(fresh)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_case_control_records_equal_lone_replicates(self, monkeypatch, workers):
+        # cells of 1,000 and 8,000 units: a chunk's workspace changes size
+        monkeypatch.setattr(sim, "_worker_count", lambda tasks, work: workers)
+        specs = [CaseControlSpec(sample_size=100, prevalence=p) for p in (0.05, 0.005, 0.05)]
+        tasks = [(spec, 4, cell, rep) for cell, spec in enumerate(specs) for rep in range(2)]
+        sizes = [sim._case_control_pop_size(t[0]) for t in tasks]
+        results = sim._map_replicates(sim._case_control_replicate, tasks, sizes)
+        fresh = [sim._case_control_replicate(*t, sim.Workspace()) for t in tasks]
+        assert _hex(results) == _hex(fresh)
+
+    @pytest.mark.parametrize("n", [50, 500, 5000])
+    def test_case_control_population_equals_allocating_draw(self, n):
+        cc = CaseControlSpec(sample_size=n)
+        ws = sim.Workspace()
+        for rep in range(2):
+            want = _allocating_case_control_population(cc, want_rng := np.random.default_rng(rep))
+            got = sim._case_control_population(cc, got_rng := np.random.default_rng(rep), ws)
+            for u, v in zip(got, want):
+                assert u.tobytes() == v.tobytes()
+            assert got_rng.random() == want_rng.random()  # the same stream consumed
+
+    @pytest.mark.parametrize("scenario", sim.SCENARIO_IDS)
+    def test_calls_without_workspace_return_new_arrays(self, scenario):
+        spec = ScenarioSpec(id=scenario, pop_size=2000, sample_size=50)
+        want = [a.copy() for a in generate_population(spec, seed=3)]
+        first = generate_population(spec, seed=3)
+        idx, _ = draw_sample(first, 50, seed=4)
+        want_idx = idx.copy()
+        for a in (*first, idx):
+            a[:] = -7
+        second = generate_population(spec, seed=3)
+        for a, b, w in zip(first, second, want):
+            assert not np.shares_memory(a, b)
+            np.testing.assert_array_equal(b, w)
+        np.testing.assert_array_equal(draw_sample(second, 50, seed=4)[0], want_idx)
+        np.testing.assert_array_equal(second[2], want[2])  # the draw leaves m alone
+
+    @pytest.mark.parametrize("scenario", sim.SCENARIO_IDS)
+    def test_workspace_calls_fill_its_arrays(self, scenario):
+        spec = ScenarioSpec(id=scenario, pop_size=2000, sample_size=50)
+        ws = sim.Workspace()
+        for seed in (3, 4):
+            pop = generate_population(spec, seed, out=ws)
+            for a, b in zip(pop, generate_population(spec, seed)):
+                assert a.tobytes() == b.tobytes()
+            for a, name in zip(pop, ("x", "y", "log_index" if scenario < "s4" else "size")):
+                assert np.shares_memory(a, ws.array(name, spec.pop_size))
+            idx, design = draw_sample(pop, 50, seed, out=ws)
+            want_idx, want_design = draw_sample(pop, 50, seed)
+            np.testing.assert_array_equal(idx, want_idx)
+            assert design.weights.tobytes() == want_design.weights.tobytes()
+
+    @pytest.mark.parametrize("scenario", sim.SCENARIO_IDS)
+    def test_serial_experiment_peaks_below_six_population_arrays(self, monkeypatch, scenario):
+        monkeypatch.setattr(sim, "_worker_count", lambda tasks, work: 1)
+        spec = ScenarioSpec(id=scenario, pop_size=self.POP, sample_size=1000)
+        run_optimism_experiment(spec, reps=1, seed=0)  # lazy imports
+        peak = _peak_bytes(lambda: run_optimism_experiment(spec, reps=3, seed=0))
+        assert peak < 6 * self.ARRAY_BYTES
+
+    @pytest.mark.parametrize("scenario", sim.SCENARIO_IDS)
+    def test_replicate_after_the_first_allocates_no_population_array(self, scenario):
+        spec = ScenarioSpec(id=scenario, pop_size=self.POP, sample_size=1000)
+        ws = sim.Workspace()
+        sim._optimism_replicate(spec, 0, 0, ws)
+        # the fit and its n-sized arrays, and isfinite's one-byte mask over N
+        peak = _peak_bytes(lambda: sim._optimism_replicate(spec, 0, 1, ws))
+        assert peak < self.ARRAY_BYTES / 2
 
 
 class TestWorkerCount:
