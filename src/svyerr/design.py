@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,6 @@ __all__ = [
     "SurveyDesign",
     "MeatStructure",
     "DesignError",
-    "psu_cells",
     "meat_independent",
     "meat_stratified_cluster",
 ]
@@ -44,7 +44,8 @@ class SurveyDesign:
 
     Built from exactly one of ``pi``, inclusion probabilities in (0, 1]
     stored as 1/pi, and ``weights``, kept as given (calibrated weights
-    below 1 included).
+    below 1 included).  Its arrays are not to be mutated after
+    construction: ``pop_size`` and :attr:`psu_cells` are derived from them.
 
     Attributes:
         weights: sampling weights, after any Hajek rescaling.
@@ -108,32 +109,32 @@ class SurveyDesign:
             return cls(pi=np.ones(n))
         return cls(pi=np.full(n, n / float(pop_size)), pop_size=float(pop_size))
 
+    @cached_property
+    def psu_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Key PSUs by (stratum, PSU label), as R survey's ``svydesign(nest=TRUE)``.
+
+        Returns ``(cell, stratum_of_cell)``: the PSU cell of each unit, and the
+        stratum of each cell as its index in sorted stratum-label order.
+        Without stratum labels the whole sample is one stratum.  Cells are
+        stratum-major, and within a stratum ordered by their first row, so
+        the numbering (and every sum over cells) does not depend on how PSUs
+        are labelled: unique and reused labels give the same cells.
+        """
+        if self.psu is None:
+            raise DesignError("PSU labels are required")
+        _, j = np.unique(self.psu, return_inverse=True)
+        if self.strata is None:
+            h = np.zeros_like(j)
+        else:
+            h = np.unique(self.strata, return_inverse=True)[1]
+        _, first, cell = np.unique(h * (j.max() + 1) + j, return_index=True, return_inverse=True)
+        order = np.lexsort((first, h[first]))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return rank[cell], h[first[order]]
+
 
 del SurveyDesign.pi  # the InitVar default left behind: design.pi must fail, not read None
-
-
-def psu_cells(design: SurveyDesign) -> tuple[np.ndarray, np.ndarray]:
-    """Key PSUs by (stratum, PSU label), as R survey's ``svydesign(nest=TRUE)``.
-
-    Returns ``(cell, stratum_of_cell)``: the PSU cell of each unit, and the
-    stratum of each cell as its index in sorted stratum-label order.
-    Without stratum labels the whole sample is one stratum.  Cells are
-    stratum-major, and within a stratum ordered by their first row, so
-    the numbering (and every sum over cells) does not depend on how PSUs
-    are labelled: unique and reused labels give the same cells.
-    """
-    if design.psu is None:
-        raise DesignError("PSU labels are required")
-    _, j = np.unique(design.psu, return_inverse=True)
-    if design.strata is None:
-        h = np.zeros_like(j)
-    else:
-        h = np.unique(design.strata, return_inverse=True)[1]
-    _, first, cell = np.unique(h * (j.max() + 1) + j, return_index=True, return_inverse=True)
-    order = np.lexsort((first, h[first]))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[cell], h[first[order]]
 
 
 def meat_independent(X, residuals, design: SurveyDesign) -> np.ndarray:
@@ -164,18 +165,17 @@ def meat_stratified_cluster(X, residuals, design: SurveyDesign) -> np.ndarray:
     collapses to :func:`meat_independent`.  Every stratum needs at least
     two PSUs.
 
-    PSUs are the (stratum, label) cells of :func:`psu_cells`; without
-    stratum labels the whole sample is one stratum.  Cost O(n p) plus the
-    sorts of the labels, from segment sums: rows u_c and v_c of U and C
-    sum x_i w_i r_i over PSU c, with r_i raw and centered at the PSU
-    mean; row s_h of S sums the v_c of stratum h.  Then V_U =
-    (U^T U + S^T S - C^T C) / N^2.
+    PSUs are the (stratum, label) cells of :attr:`SurveyDesign.psu_cells`;
+    without stratum labels the whole sample is one stratum.  Cost O(n p),
+    from segment sums: rows u_c and v_c of U and C sum x_i w_i r_i over
+    PSU c, with r_i raw and centered at the PSU mean; row s_h of S sums
+    the v_c of stratum h.  Then V_U = (U^T U + S^T S - C^T C) / N^2.
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(residuals, dtype=float)
     if X.shape[0] != r.shape[0] or r.shape != design.weights.shape:
         raise DesignError("X, residuals, and design must align")
-    cell, stratum_of_cell = psu_cells(design)
+    cell, stratum_of_cell = design.psu_cells
     n_cells, n_strata = len(stratum_of_cell), int(stratum_of_cell.max()) + 1
     lonely = np.bincount(stratum_of_cell, minlength=n_strata) < 2
     if lonely.any():

@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import design as dsn
 from . import families as fam
 from . import fit as fitting
 from .design import MeatStructure, SurveyDesign
@@ -167,12 +166,12 @@ def estimate_dispersion(fit: GlmFit) -> tuple[float, float]:
     all PSUs (pair-count weighting); phi-hat = 1 + (nbar - 1) rho-hat at
     the average PSU size.  All-singleton designs return (0, 1).
 
-    PSUs are the (stratum, label) cells of :func:`design.psu_cells`.  Cost
-    O(n) plus the sorts of the labels, from segment sums: per PSU the size
-    m, sum e and sum e^2 of the Pearson residuals e give its pair-product
-    sum ((sum e)^2 - sum e^2) / 2.
+    PSUs are the (stratum, label) cells of :attr:`SurveyDesign.psu_cells`.
+    Cost O(n), from segment sums: per PSU the size m, sum e and sum e^2
+    of the Pearson residuals e give its pair-product sum
+    ((sum e)^2 - sum e^2) / 2.
     """
-    psu, _ = dsn.psu_cells(fit.design)
+    psu, _ = fit.design.psu_cells
     e = (fit.y - fit.mu) / np.sqrt(fit.sigma_m * fit.family.dispersion)
     sizes = np.bincount(psu)
     npairs = int((sizes * (sizes - 1) // 2).sum())

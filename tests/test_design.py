@@ -11,7 +11,6 @@ from svyerr.design import (
     SurveyDesign,
     meat_independent,
     meat_stratified_cluster,
-    psu_cells,
 )
 from svyerr.families import Family, FamilyKind
 from svyerr.fit import fit_weighted_glm
@@ -178,15 +177,52 @@ class TestPsuCells:
         # unique PSU labels, and labels 1, 2 reused in every stratum
         for psu in (np.arange(6), np.tile([1, 2], 3)):
             d = SurveyDesign(pi=np.full(6, 0.5), strata=strata, psu=psu)
-            cell, stratum_of_cell = psu_cells(d)
+            cell, stratum_of_cell = d.psu_cells
             np.testing.assert_array_equal(cell, np.arange(6))
             np.testing.assert_array_equal(stratum_of_cell, [0, 0, 1, 1, 2, 2])
 
     def test_no_strata_is_one_stratum(self):
         d = SurveyDesign(pi=np.full(5, 0.5), psu=np.array([7, 3, 7, 9, 3]))
-        cell, stratum_of_cell = psu_cells(d)
+        cell, stratum_of_cell = d.psu_cells
         np.testing.assert_array_equal(cell, [0, 1, 0, 2, 1])
         np.testing.assert_array_equal(stratum_of_cell, [0, 0, 0])
+
+    @pytest.mark.parametrize("route", ["property", "estimate_dispersion"])
+    def test_psu_labels_required(self, route):
+        rng = np.random.default_rng(4)
+        d = SurveyDesign(pi=np.full(20, 0.5), strata=np.repeat([1, 2], 10))
+        y = (rng.random(20) < 0.5).astype(float)
+        with pytest.raises(DesignError, match="PSU labels are required"):
+            if route == "property":
+                d.psu_cells
+            else:
+                estimate_dispersion(fit_weighted_glm(np.ones((20, 1)), y, Family(FamilyKind.BERNOULLI), d))
+
+    def test_cells_formed_once_on_first_use(self, monkeypatch):
+        # Cells formed in __post_init__ would stay alive through the fit: on
+        # the perfbench ``clustered`` job that raised the tracemalloc peak
+        # from 11.55 to 12.35 MiB.  So construction must not form them, and
+        # the meat and phi-hat on one design must share one formation.
+        rng = np.random.default_rng(5)
+        n = 60
+        d = SurveyDesign(pi=rng.uniform(0.2, 1.0, n), strata=np.arange(n) % 3, psu=np.arange(n) % 12)
+        assert "psu_cells" not in vars(d)
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        y = (rng.random(n) < 0.5).astype(float)
+        f = fit_weighted_glm(X, y, Family(FamilyKind.BERNOULLI), d)
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(args[0])
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        meat_stratified_cluster(X, y - f.mu, d)
+        estimate_dispersion(f)
+        # one set of cells: the PSU labels, the stratum labels and their keys
+        assert len(calls) == 3
+        assert "psu_cells" in vars(d)
 
 
 class TestMeatIndependent:
