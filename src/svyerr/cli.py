@@ -1,7 +1,8 @@
 """Command-line front end: fit, simulate and knn subcommands.
 
 Exit codes are a stable contract: 0 success, 2 schema or usage error,
-3 numerical failure, 4 I/O error.
+3 numerical failure (a forked worker that dies without reporting counts
+as one), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 
 import numpy as np
 
+from . import _fork
 from . import families as fam
 from . import penalty as pen
 from . import rules
@@ -155,11 +157,12 @@ def cmd_fit(args) -> int:
         # the sandwich first: a design its meat rejects fails before any refit
         sw = sandwich_variance(f, structure)
         # seed gives the reported penalty; seed + 1, ... re-run it under
-        # independent seeds for an empirical interval on the estimate
+        # independent seeds for an empirical interval on the estimate; one
+        # call runs them all, so their blocks fan out together
         rule = pen.glm_rule(X, design, family)
+        seeds = range(args.seed, args.seed + 1 + args.interval_runs)
         report, *reruns = [
-            pen.hte_bootstrap(rule, f, B=args.B, seed=args.seed + s, loss=loss)
-            for s in range(1 + args.interval_runs)
+            reports[0] for reports in pen._bootstrap_reports([rule], f, args.B, seeds, loss)
         ]
         phats = [len(y) * r.omega_hat / 2.0 for r in reruns]
         interval["p_hat_bootstrap"] = {
@@ -306,6 +309,9 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except (FitError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except _fork.WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -8,7 +8,8 @@ prediction rules with no analytic covariance (for example kNN under 0-1
 loss): ``hte_bootstrap(rule, gen, B, seed, loss)`` draws blocks Y of
 outcome rows from the generating fit ``gen`` and calls ``rule(Y)``, which
 returns the rule's in-sample fitted means; the bootstrap alone maps them
-to the penalty-side parameter lambda-hat of ``loss``.
+to the penalty-side parameter lambda-hat of ``loss``.  Its (seed, block)
+tasks run on forked workers when the first one's time says that pays.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _fork
 from . import families as fam
 from . import fit as fitting
 from .design import MeatStructure, SurveyDesign
@@ -63,10 +65,14 @@ class PenaltyReport:
 
 # a prediction rule, built on its covariates and design, trains on an (m, n)
 # block Y of outcome rows and returns the (m, n) in-sample fitted means; it
-# does not raise for a row that fails to train, which comes back as NaN
+# does not raise for a row that fails to train, which comes back as NaN.  It
+# must be a pure function of Y: the bootstrap may run its blocks in forked
+# processes, which do not share state a rule keeps across calls
 PredictionRule = Callable[[np.ndarray], np.ndarray]
 
-# bootstrap replicates per rule call: memory is O(_BLOCK * n) for any B
+# bootstrap replicates per rule call: memory is O(_BLOCK * n) for any B and any
+# number of seeds; a forked worker also keeps 3 x rules x n floats per block of
+# the one seed it takes over part-way, until its chunk is done
 _BLOCK = 32
 
 
@@ -218,22 +224,66 @@ def hte_bootstrap(
     The covariance comes from running sums over the kept replicates of
     lambda, e = y* - mu and lambda e, so memory does not grow with B:
     sum_b lambda_b (y*_b - ybar*) = sum lambda e - (sum lambda)(sum e) / B.
-    This is the one-rule case of :func:`_bootstrap_reports`.
+    This is the one-rule, one-seed case of :func:`_bootstrap_reports`.
     """
-    return _bootstrap_reports([rule], gen, B, seed, loss)[0]
+    return _bootstrap_reports([rule], gen, B, [seed], loss)[0][0]
+
+
+def _rule_sums(rule: PredictionRule, Y: np.ndarray, mu: np.ndarray, loss: Loss):
+    """One rule on one block: (sum lambda, sum e, sum lambda e, kept rows).
+
+    This is the one place that maps a rule's fitted means to lambda-hat: a
+    row with a NaN mean failed to train and is dropped.
+    """
+    lam = rule(Y)
+    ok = ~np.isnan(lam).any(axis=1)
+    lam, e = fam.lambda_hat(loss, lam[ok]), Y[ok] - mu
+    return lam.sum(axis=0), e.sum(axis=0), (lam * e).sum(axis=0), int(ok.sum())
+
+
+def _block_sums(
+    rules: list[PredictionRule], gen: GlmFit, loss: Loss, B: int, seed: int, start: int
+):
+    """Yield each rule's :func:`_rule_sums` on block ``start`` of ``seed``'s replicates.
+
+    The block holds replicates start, ..., start + _BLOCK - 1 (up to B).
+    The block and each rule's arrays are local, so they are freed as soon
+    as they are summed.
+    """
+    Y = np.stack([
+        fam._draw_responses(np.random.default_rng([seed, b]), gen.family, gen.mu)
+        for b in range(start, min(start + _BLOCK, B))
+    ])
+    for rule in rules:
+        yield _rule_sums(rule, Y, gen.mu, loss)
+
+
+class _SeedSums:
+    """One seed's running sums, per rule, of lambda, e and lambda e, and its kept rows."""
+
+    def __init__(self, rules: int, n: int):
+        self.lam, self.e, self.lam_e = (np.zeros((rules, n)) for _ in range(3))
+        self.kept = [0] * rules
+
+    def add(self, r: int, lam, e, lam_e, kept: int) -> None:
+        self.lam[r] += lam
+        self.e[r] += e
+        self.lam_e[r] += lam_e
+        self.kept[r] += kept
 
 
 def _bootstrap_reports(
-    rules: list[PredictionRule], gen: GlmFit, B: int, seed: int, loss: Loss
-) -> list[PenaltyReport]:
-    """:func:`hte_bootstrap` for several rules on one set of replicates.
+    rules: list[PredictionRule], gen: GlmFit, B: int, seeds, loss: Loss
+) -> list[list[PenaltyReport]]:
+    """:func:`hte_bootstrap` for several rules and seeds; reports indexed [seed][rule].
 
-    Each (seed, b) block of outcomes is drawn once and phi-hat computed
-    once; every rule retrains on each block and keeps its own running
-    sums, kept count and drop check, so its report equals, bit for bit,
-    the one :func:`hte_bootstrap` gives for it alone.  This is the one
-    place that maps a rule's fitted means to lambda-hat: a row with a NaN
-    mean failed to train and is dropped.
+    phi-hat and each rule's base fit are computed once.  Every (seed,
+    block) task draws its block once, and every rule retrains on it; the
+    tasks run on forked workers where that pays (``_fork.timed``), and
+    each rule's per-block sums are added into its running sums in task
+    order.  So each rule's report equals, bit for bit, the one
+    :func:`hte_bootstrap` gives for it alone under that seed, for any
+    worker count; a rule must therefore be a pure function of its block.
     """
     if B < 2:
         raise ValueError("bootstrap needs at least two replicates")
@@ -242,43 +292,73 @@ def _bootstrap_reports(
     bases = [rule(y[None])[0] for rule in rules]
     if any(np.isnan(mu).any() for mu in bases):
         raise FitError("the rule failed to train on the observed outcomes")
+    errs = [in_sample_error(loss, y, mu, design) for mu in bases]
 
-    sum_lam, sum_e, sum_lam_e = (np.zeros((len(rules), n)) for _ in range(3))
-    kept = [0] * len(rules)
-    for start in range(0, B, _BLOCK):
-        Y = np.stack([
-            fam._draw_responses(np.random.default_rng([seed, b]), gen.family, gen.mu)
-            for b in range(start, min(start + _BLOCK, B))
-        ])
-        for r, rule in enumerate(rules):
-            # one name for the means and their lambda-hat, so a rule's
-            # output does not outlive its turn of the loop
-            lam = rule(Y)
-            ok = ~np.isnan(lam).any(axis=1)
-            lam, e = fam.lambda_hat(loss, lam[ok]), Y[ok] - gen.mu
-            sum_lam[r] += lam.sum(axis=0)
-            sum_e[r] += e.sum(axis=0)
-            sum_lam_e[r] += (lam * e).sum(axis=0)
-            kept[r] += int(ok.sum())
+    def seed_reports(sums: _SeedSums) -> list[PenaltyReport]:
+        out = []
+        for r, kept in enumerate(sums.kept):
+            dropped = B - kept
+            if dropped > 0.1 * B:
+                raise FitError(f"{dropped}/{B} bootstrap replicates failed to train")
+            cov_i = phi_hat * (sums.lam_e[r] - sums.lam[r] * sums.e[r] / kept) / (kept - 1)
+            omega = 2.0 * design.mean(cov_i)
+            out.append(PenaltyReport(
+                err_weighted=errs[r],
+                omega_hat=omega,
+                err_hat=errs[r] + omega,
+                daic=None,
+                p_hat=None,
+                method="bootstrap",
+                B=B,
+                phi_hat=phi_hat,
+                rho_hat=rho_hat,
+                dropped_replicates=dropped,
+            ))
+        return out
 
-    reports = []
-    for r, mu in enumerate(bases):
-        dropped = B - kept[r]
-        if dropped > 0.1 * B:
-            raise FitError(f"{dropped}/{B} bootstrap replicates failed to train")
-        cov_i = phi_hat * (sum_lam_e[r] - sum_lam[r] * sum_e[r] / kept[r]) / (kept[r] - 1)
-        omega = 2.0 * design.mean(cov_i)
-        err_w = in_sample_error(loss, y, mu, design)
-        reports.append(PenaltyReport(
-            err_weighted=err_w,
-            omega_hat=omega,
-            err_hat=err_w + omega,
-            daic=None,
-            p_hat=None,
-            method="bootstrap",
-            B=B,
-            phi_hat=phi_hat,
-            rho_hat=rho_hat,
-            dropped_replicates=dropped,
-        ))
+    def work(tasks):
+        """Sum ``tasks``' blocks seed by seed; yield what the caller must fold.
+
+        A seed begun before ``tasks`` goes on in the caller's running sums:
+        each rule's block sums go back as ("add", (r, *sums)) and the
+        seed's end as ("close", None).  A seed begun here is summed here
+        from zeros, in the same order, and goes back as ("reports", its
+        reports), or as ("sums", its _SeedSums) where ``tasks`` stops
+        inside it.  So a forked worker keeps the reports of the seeds it
+        finished, one _SeedSums, and the block sums of the one seed it
+        takes over part-way, not the block sums of every seed.
+        """
+        sums = None
+        for seed, start in tasks:
+            if start == 0:
+                sums = _SeedSums(len(rules), n)
+            for r, part in enumerate(_block_sums(rules, gen, loss, B, seed, start)):
+                if sums is None:
+                    yield ("add", (r, *part))
+                else:
+                    sums.add(r, *part)
+            if start + _BLOCK >= B:
+                yield ("close", None) if sums is None else ("reports", seed_reports(sums))
+                sums = None
+        if sums is not None:
+            yield ("sums", sums)
+
+    reports: list[list[PenaltyReport]] = []
+    running = None  # the sums of a seed that goes on into the next chunk
+
+    def fold(item):
+        nonlocal running
+        kind, value = item
+        if kind == "add":
+            running.add(*value)
+        elif kind == "close":
+            reports.append(seed_reports(running))
+            running = None
+        elif kind == "reports":
+            reports.append(value)
+        else:
+            running = value
+
+    tasks = [(seed, start) for seed in seeds for start in range(0, B, _BLOCK)]
+    _fork.timed(work, tasks, [min(_BLOCK, B - start) for _, start in tasks], fold)
     return reports

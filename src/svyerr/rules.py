@@ -176,5 +176,5 @@ def knn_error_report(
     )
     if not k_list:
         return []
-    reports = pen._bootstrap_reports(rules, gen, B=B, seed=seed, loss=Loss(LossKind.ZERO_ONE))
+    reports = pen._bootstrap_reports(rules, gen, B, [seed], Loss(LossKind.ZERO_ONE))[0]
     return [(int(k), r) for k, r in zip(k_list, reports)]

@@ -3,20 +3,22 @@
 Generates finite populations under the eight benchmark scenarios, draws
 fixed-size PPS samples without replacement, and runs the optimism and
 HTE-versus-naive-AIC experiments with per-replicate seed streams so the
-results are reproducible regardless of execution order; the replicates
-run on forked workers where that pays (``_map_replicates``), and each
-chunk of them reuses one :class:`Workspace` of population-sized arrays.
+results are reproducible regardless of execution order.  The replicates
+run on forked workers where that pays (``_map_replicates``, through the
+fan-out in ``svyerr._fork`` that the parametric bootstrap also uses),
+and each chunk of them reuses one :class:`Workspace` of population-sized
+arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _fork
 from . import families as fam
 from . import penalty as pen
 from .design import SurveyDesign
@@ -249,39 +251,18 @@ _FORK_MIN_WORK = 1_000_000
 def _worker_count(tasks: int, work: int) -> int:
     """Processes to run ``tasks`` replicates totalling ``work`` population units on.
 
-    min(tasks, usable CPUs // BLAS threads), where the BLAS thread count
-    is read from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else taken
-    to be the CPU count: a process whose BLAS is not pinned to one thread
-    already keeps every CPU busy, and stays serial.  Also serial below
-    ``_FORK_MIN_WORK``, where "fork" is not a start method, and while the
-    process runs another Python thread: a forked child gets only the
-    calling thread, and a lock another thread held stays locked in it.
-    (Spawned workers would each re-import numpy, and scipy where the
-    population needs it, which costs more than a typical experiment.)
+    Serial below ``_FORK_MIN_WORK``; otherwise ``_fork.worker_count``'s
+    rule: min(tasks, usable CPUs // BLAS threads), and serial where
+    "fork" is not a start method or another Python thread runs.
     """
-    if work < _FORK_MIN_WORK or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    try:
-        blas_threads = max(1, int(blas)) if blas else cpus
-    except ValueError:
-        blas_threads = cpus
-    workers = min(tasks, cpus // blas_threads)
-    if workers < 2:
-        return 1
-    import multiprocessing
-
-    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+    return 1 if work < _FORK_MIN_WORK else _fork.worker_count(tasks)
 
 
-def _run_chunk(step, tasks) -> list:
-    """``[step(*task, ws) for task in tasks]``, with one workspace for the chunk."""
+def _run_chunk(step, tasks):
+    """``step(*task, ws)`` for each task in turn, with one workspace for the chunk."""
     ws = Workspace()
-    return [step(*task, ws) for task in tasks]
+    for task in tasks:
+        yield step(*task, ws)
 
 
 def _map_replicates(step, tasks: list[tuple], sizes: list[int]) -> list:
@@ -292,23 +273,13 @@ def _map_replicates(step, tasks: list[tuple], sizes: list[int]) -> list:
     ``sizes`` is each task's population size.  The tasks are cut into one
     contiguous chunk per worker, of about equal total size; the parent
     computes the first chunk while forked children compute the rest, and
-    the chunks are joined in task order.  Each replicate draws from its
-    own seed stream, so the list is the serial one for any worker count.
+    the chunks are joined in task order (``_fork.run``).  Each replicate
+    draws from its own seed stream, so the list is the serial one for any
+    worker count.
     """
-    workers = _worker_count(len(tasks), sum(sizes))
-    if workers == 1:
-        return _run_chunk(step, tasks)
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    cum = np.concatenate([[0], np.cumsum(sizes)])
-    bounds = np.searchsorted(cum, cum[-1] * np.arange(workers + 1) // workers)
-    chunks = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with ProcessPoolExecutor(workers - 1, mp_context=get_context("fork")) as pool:
-        futures = [pool.submit(_run_chunk, step, chunk) for chunk in chunks[1:] if chunk]
-        results = _run_chunk(step, chunks[0])
-        for fut in futures:
-            results.extend(fut.result())
+    chunks = _fork.split(tasks, sizes, _worker_count(len(tasks), sum(sizes)))
+    results: list = []
+    _fork.run(functools.partial(_run_chunk, step), chunks, results.append)
     return results
 
 

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
-from svyerr import cli, fit, penalty
+from svyerr import _fork, cli, fit, penalty, rules
 from svyerr import simulate as sim
 from svyerr.cli import load_dataset, main, SchemaError
 from svyerr.families import Family, FamilyKind
@@ -347,9 +348,9 @@ class TestCmdFit:
     def test_single_psu_stratum_fails_before_bootstrap(self, tmp_path, monkeypatch, capsys):
         # the stratified meat rejects the design before a single refit
         def never(*args, **kwargs):
-            raise AssertionError("hte_bootstrap ran on a design the meat rejects")
+            raise AssertionError("the bootstrap ran on a design the meat rejects")
 
-        monkeypatch.setattr(penalty, "hte_bootstrap", never)
+        monkeypatch.setattr(penalty, "_bootstrap_reports", never)
         path = self._clustered_csv(tmp_path / "lonely.csv", psu_per_stratum=(3, 1, 3))
         code = main([
             "fit", "--data", path, "--outcome", "y", "--covariates", "x1",
@@ -628,3 +629,62 @@ class TestCmdKnn:
             "--covariates", "x1", "--weights", "w", "--seed", "2",
         ])
         assert code == 2
+
+
+class TestBootstrapChildFailure:
+    """A rule that fails in a forked bootstrap worker still exits 3, and leaves no process."""
+
+    @staticmethod
+    def _failing_on_short_blocks(build, parent, fail):
+        """``build``'s rules, calling ``fail()`` on the short last block of a seed in a child."""
+
+        def failing(*args):
+            rule = build(*args)
+
+            def train(Y):
+                if 1 < len(Y) < penalty._BLOCK:
+                    if os.getpid() == parent:
+                        raise AssertionError("short block in the parent")
+                    fail()
+                return rule(Y)
+
+            return train
+
+        return failing
+
+    def _run(self, command, logistic_csv, monkeypatch, fail):
+        # B = 100 is blocks of 32, 32, 32 and 4.  fit's two seeds over three
+        # workers and knn's one seed over two both give the first short
+        # block to a child.
+        monkeypatch.setattr(_fork, "_FORK_MIN_S", 0.0)
+        monkeypatch.setattr(_fork, "worker_count", lambda tasks: 3 if command == "fit" else 2)
+        if command == "fit":
+            module, name, extra = penalty, "glm_rule", ["--family", "bernoulli",
+                                                        "--method", "hte-bootstrap",
+                                                        "--interval-runs", "1"]
+        else:
+            module, name, extra = rules, "_vote_rule", ["--k", "5", "9"]
+        failing = self._failing_on_short_blocks(getattr(module, name), os.getpid(), fail)
+        monkeypatch.setattr(module, name, failing)
+        code = main([
+            command, "--data", logistic_csv, "--outcome", "y", "--covariates", "x1", "x2",
+            "--weights", "w", "--B", "100", "--seed", "2", *extra,
+        ])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code
+
+    @pytest.mark.parametrize("command", ["fit", "knn"])
+    def test_exit_3_with_the_child_message(self, logistic_csv, monkeypatch, capsys, command):
+        def boom():
+            raise ValueError("boom")
+
+        assert self._run(command, logistic_csv, monkeypatch, boom) == 3
+        assert capsys.readouterr().err == "numerical error: boom\n"
+
+    @pytest.mark.parametrize("command", ["fit", "knn"])
+    def test_exit_3_when_a_child_dies(self, logistic_csv, monkeypatch, capsys, command):
+        assert self._run(command, logistic_csv, monkeypatch, lambda: os._exit(7)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("worker error: forked worker ")
+        assert err.endswith("ended without returning its results (exit code 7)\n")

@@ -1,10 +1,15 @@
 """Optimism penalties: analytic trace form, dAIC, dispersion, bootstrap."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
+from svyerr import _fork, rules
 from svyerr import families as fam
 from svyerr import fit as fitting
+from svyerr import penalty as pen
 from svyerr.design import SurveyDesign
 from svyerr.families import Family, FamilyKind, Loss, LossKind
 from svyerr.fit import fit_weighted_glm, sandwich_variance
@@ -385,6 +390,202 @@ class TestHteBootstrap:
         with pytest.raises(ValueError):
             hte_bootstrap(glm_rule(X, d, GAUSS), fit_weighted_glm(X, y, GAUSS, d),
                           B=1, seed=0, loss=SQERR)
+
+
+def _report_hex(report):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.to_dict().items()}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _array_bytes(obj):
+    """The bytes of every numpy array in ``obj``, its tuples, lists and attributes."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(map(_array_bytes, obj))
+    return _array_bytes(list(vars(obj).values())) if hasattr(obj, "__dict__") else 0
+
+
+class TestBootstrapFanOut:
+    """Forked (seed, block) tasks give the serial reports bit for bit.
+
+    Bootstraps this small stay in one process under the measured rule, so
+    the fan-out is forced: no minimum time and a fixed worker count.  With
+    B = 100 a seed has blocks of 32, 32, 32 and 4 replicates; the first
+    task runs alone, and the rest are cut by replicate count, so the last
+    chunk (a child's) always ends with the last seed's short block.
+    """
+
+    B = 100
+    SEEDS = [0, 1, 2]
+
+    @staticmethod
+    def _force(monkeypatch, workers):
+        """Fan out over ``workers`` processes; returns the list the forks are counted in."""
+        monkeypatch.setattr(_fork, "_FORK_MIN_S", 0.0)
+        monkeypatch.setattr(_fork, "worker_count", lambda tasks: workers)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        return forks
+
+    def _serial(self, monkeypatch, rule_list, gen, loss):
+        """Each rule's report from its own one-seed ``hte_bootstrap``, in one process."""
+        forks = self._force(monkeypatch, 1)
+        out = [[_report_hex(hte_bootstrap(rule, gen, self.B, seed, loss)) for rule in rule_list]
+               for seed in self.SEEDS]
+        assert forks == []
+        return out
+
+    def _forked(self, monkeypatch, workers, rule_list, gen, loss):
+        forks = self._force(monkeypatch, workers)
+        out = [[_report_hex(r) for r in reports]
+               for reports in pen._bootstrap_reports(rule_list, gen, self.B, self.SEEDS, loss)]
+        assert len(forks) == workers - 1
+        _assert_no_child_left()
+        return out
+
+    @pytest.mark.parametrize("family", [BERN, GAUSS], ids=["bernoulli", "gaussian"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_glm_rule_reports_identical_for_any_worker_count(self, monkeypatch, family, workers):
+        rng = np.random.default_rng(40)
+        X, y, d = _gaussian_instance(rng, n=80)
+        if family is BERN:
+            y = (rng.random(80) < 1.0 / (1.0 + np.exp(-X @ [0.2, 0.8, -0.5]))).astype(float)
+        gen = fit_weighted_glm(X, y, family, d)
+        args = ([glm_rule(X, d, family)], gen, Loss(LossKind.DEVIANCE, gen.family))
+        serial = self._serial(monkeypatch, *args)
+        assert self._forked(monkeypatch, workers, *args) == serial
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_knn_vote_rules_identical_for_any_worker_count(self, monkeypatch, workers):
+        rng = np.random.default_rng(41)
+        n = 90
+        X = rng.normal(size=(n, 2))
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(float)
+        d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n), psu=np.arange(n) % 9)
+        gen = fit_weighted_glm(np.column_stack([np.ones(n), X]), y, BERN, d)
+        args = (rules._vote_rules(X, d, [3, 5, 9]), gen, Loss(LossKind.ZERO_ONE))
+        serial = self._serial(monkeypatch, *args)
+        assert self._forked(monkeypatch, workers, *args) == serial
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_dropped_replicates_in_a_child_identical(self, monkeypatch, workers):
+        # replicates 5 and 70 of the last seed fail to train; its blocks all
+        # run in the last child for 2 and for 3 workers
+        rng = np.random.default_rng(42)
+        X, y, d = _gaussian_instance(rng, n=50)
+        gen = fit_weighted_glm(X, y, GAUSS, d)
+        failing = np.stack([
+            fam._draw_responses(np.random.default_rng([self.SEEDS[-1], b]), gen.family, gen.mu)
+            for b in (5, 70)
+        ])
+        inner = glm_rule(X, d, GAUSS)
+
+        def rule(Y):  # a pure function of its block
+            mu = inner(Y)
+            mu[(Y[:, None, :] == failing).all(axis=2).any(axis=1)] = np.nan
+            return mu
+
+        serial = self._serial(monkeypatch, [rule], gen, SQERR)
+        assert [reports[0]["dropped_replicates"] for reports in serial] == [0, 0, 2]
+        assert self._forked(monkeypatch, workers, [rule], gen, SQERR) == serial
+
+    def test_a_child_holds_at_most_one_seed_of_block_sums(self, monkeypatch, tmp_path):
+        # 16 seeds of two blocks over two workers: the child's chunk spans
+        # about 8 seeds, but what it keeps until the chunk is done stays
+        # within one seed's block sums (3 x n floats a block), not one per block
+        self._force(monkeypatch, 2)
+        n, B = 400, 2 * pen._BLOCK
+        X, y, d = _gaussian_instance(np.random.default_rng(44), n=n)
+        gen = fit_weighted_glm(X, y, GAUSS, d)
+        serve = _fork._serve
+
+        def measured(work, chunk, fd):  # runs in the child
+            def counted(chunk):
+                held = 0
+                for item in work(chunk):
+                    held += _array_bytes(item)
+                    yield item
+                (tmp_path / str(os.getpid())).write_text(str(held))
+
+            serve(counted, chunk, fd)
+
+        monkeypatch.setattr(_fork, "_serve", measured)
+        reports = pen._bootstrap_reports([glm_rule(X, d, GAUSS)], gen, B, range(16), SQERR)
+        assert len(reports) == 16
+        [held] = [int(path.read_text()) for path in tmp_path.iterdir()]
+        assert 0 < held <= (B // pen._BLOCK) * 3 * n * 8
+        _assert_no_child_left()
+
+    def _one_seed(self, rule, gen):
+        return hte_bootstrap(rule, gen, self.B, 0, SQERR)
+
+    def _gaussian(self):
+        X, y, d = _gaussian_instance(np.random.default_rng(43), n=40)
+        return glm_rule(X, d, GAUSS), fit_weighted_glm(X, y, GAUSS, d)
+
+    def test_error_in_a_child_is_raised_in_the_parent(self, monkeypatch):
+        # one seed and two workers: the child runs the short block alone
+        self._force(monkeypatch, 2)
+        inner, gen = self._gaussian()
+        parent = os.getpid()
+
+        def rule(Y):
+            if 1 < len(Y) < pen._BLOCK:
+                raise ValueError("boom" if os.getpid() != parent else "short block in the parent")
+            return inner(Y)
+
+        with pytest.raises(ValueError) as info:
+            self._one_seed(rule, gen)
+        assert str(info.value) == "boom"
+        cause = info.value.__cause__
+        assert isinstance(cause, _fork.WorkerError)
+        assert str(cause).startswith("raised in forked worker ")
+        assert "ValueError: boom" in str(cause)  # the child's traceback
+        _assert_no_child_left()
+
+    def test_child_that_dies_raises_a_clear_error(self, monkeypatch):
+        self._force(monkeypatch, 2)
+        inner, gen = self._gaussian()
+        parent = os.getpid()
+
+        def rule(Y):
+            if 1 < len(Y) < pen._BLOCK:
+                if os.getpid() == parent:
+                    raise AssertionError("short block in the parent")
+                os._exit(7)
+            return inner(Y)
+
+        with pytest.raises(_fork.WorkerError, match=r"without returning its results \(exit code 7\)"):
+            self._one_seed(rule, gen)
+        _assert_no_child_left()
+
+    def test_parent_failure_kills_its_children(self, monkeypatch):
+        # the child sleeps on the short block; the parent fails on its second
+        # full block, and must not wait for the child to finish
+        self._force(monkeypatch, 2)
+        inner, gen = self._gaussian()
+        parent, blocks = os.getpid(), []
+
+        def rule(Y):
+            if os.getpid() != parent:
+                if len(Y) < pen._BLOCK:
+                    time.sleep(60.0)
+            elif len(Y) == pen._BLOCK:
+                blocks.append(None)
+                if len(blocks) == 2:
+                    raise ValueError("parent boom")
+            return inner(Y)
+
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="parent boom"):
+            self._one_seed(rule, gen)
+        assert time.perf_counter() - t0 < 30.0
+        _assert_no_child_left()
 
 
 class TestAicNaive:

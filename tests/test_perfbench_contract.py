@@ -6,15 +6,22 @@ suite pins together: ``GlmFit.converged``, ``hte_analytic(structure=)``,
 the ``svyerr knn`` table's ``omega_half``.  A reduced instance of each
 workload (its ``small`` inputs) goes through prepare, job and check here,
 so a change that breaks what the benchmark reads fails the suite.
+
+The small instances are too small for the bootstrap to fan out over
+forked workers, so the full-size ``bootstrap`` job also runs here with
+the fan-out forced, against its recorded reference outputs.
 """
 
 import importlib.util
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import pytest
+
+from svyerr import _fork
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +48,19 @@ def test_small_job_passes_its_checks(name, tmp_path):
     inputs = workload.prepare(0, str(tmp_path), small=True)
     out = workload.check(inputs, workload.job(inputs))
     assert out and all(math.isfinite(v) for v in out.values())
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_full_bootstrap_job_under_forced_fan_out_matches_reference(workers, tmp_path, monkeypatch):
+    monkeypatch.setattr(_fork, "_FORK_MIN_S", 0.0)
+    monkeypatch.setattr(_fork, "worker_count", lambda tasks: workers)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    workload = WORKLOADS["bootstrap"]
+    inputs = workload.prepare(0, str(tmp_path), small=False)
+    out = workload.check(inputs, workload.job(inputs))
+    assert len(forks) == workers - 1
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())["bootstrap"]["0"]
+    assert set(out) == set(reference)
+    for key, want in reference.items():
+        assert math.isclose(out[key], want, rel_tol=1e-9, abs_tol=1e-300), key

@@ -461,8 +461,8 @@ class TestLinearVoteOracle:
         vote_rules = [rules._vote_rule(W[k]) for k in ks]
         loss = Loss(LossKind.SQUARED_ERROR)
         omega_hat = np.array([
-            [r.omega_hat for r in penalty._bootstrap_reports(vote_rules, gen, B, seed, loss)]
-            for seed in range(R)
+            [r.omega_hat for r in reports]
+            for reports in penalty._bootstrap_reports(vote_rules, gen, B, range(R), loss)
         ])
         for j, k in enumerate(ks):
             s_ii = W[k].diagonal() / W[k].sum(axis=1)
