@@ -8,9 +8,10 @@ done; the parent folds them after its own, one at a time.  So ``fold``
 sees the serial order for any number of chunks, and a task that draws
 from its own seed stream gives the same bits in any process.  A child
 holds all its items until its chunk is done, so ``work`` should sum what
-it can itself and yield little.  ``timed`` runs the first task alone and
-fans the rest out only when the time it took says the rest is worth the
-forks.
+it can itself and yield little.  ``timed``, the one entry point callers
+use, runs the first task alone and fans the rest out only when the time
+it took, scaled by the sizes of the tasks left, says the rest is worth
+the forks.
 
 A child starts from a copy of the parent's memory: state a task changes
 stays in its process, so ``work`` must depend on its chunk alone.  An
@@ -45,9 +46,10 @@ def worker_count(tasks: int) -> int:
     """Processes to run ``tasks`` independent tasks on.
 
     min(tasks, usable CPUs // BLAS threads), where the BLAS thread count
-    is read from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else taken
-    to be the CPU count: a process whose BLAS is not pinned to one thread
-    already keeps every CPU busy, and stays serial.  Also serial where
+    is read as OpenBLAS reads it: OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, a value that is not a positive integer counting as
+    unset, else the CPU count.  A process whose BLAS is not pinned to one
+    thread already keeps every CPU busy, and stays serial.  Also serial where
     "fork" is not a start method, and while the process runs another
     Python thread: a forked child gets only the calling thread, and a
     lock another thread held stays locked in it.  (Spawned workers would
@@ -59,11 +61,12 @@ def worker_count(tasks: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    try:
-        blas_threads = max(1, int(blas)) if blas else cpus
-    except ValueError:
-        blas_threads = cpus
+    blas_threads = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            blas_threads = int(value)
+            break
     workers = min(tasks, cpus // blas_threads)
     if workers < 2:
         return 1
@@ -167,14 +170,19 @@ def run(work, chunks: list[list], fold) -> None:
 def timed(work, tasks: list, sizes, fold) -> None:
     """:func:`run` over ``tasks``, fanned out only where a measurement says it pays.
 
-    The first task runs alone in this process, timed; the rest fan out
-    over :func:`worker_count` processes in chunks of about equal total
-    ``sizes`` when (tasks left) x (that time) is at least ``_FORK_MIN_S``,
-    and run here otherwise.
+    The first task runs alone in this process, timed.  That time, scaled
+    by the sizes of the tasks left over the first task's size, predicts
+    the rest: when the prediction is at least ``_FORK_MIN_S`` the rest fan
+    out over :func:`worker_count` processes in chunks of about equal total
+    ``sizes``, and run here otherwise.  ``sizes`` are positive and in any
+    unit in which a task's time is about proportional to its size.
     """
+    if not tasks:
+        return
     t0 = perf_counter()
     for item in work(tasks[:1]):
         fold(item)
     rest = tasks[1:]
-    workers = worker_count(len(rest)) if len(rest) * (perf_counter() - t0) >= _FORK_MIN_S else 1
+    predicted = sum(sizes[1:]) / sizes[0] * (perf_counter() - t0)
+    workers = worker_count(len(rest)) if predicted >= _FORK_MIN_S else 1
     run(work, split(rest, sizes[1:], workers), fold)

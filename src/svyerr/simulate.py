@@ -4,10 +4,10 @@ Generates finite populations under the eight benchmark scenarios, draws
 fixed-size PPS samples without replacement, and runs the optimism and
 HTE-versus-naive-AIC experiments with per-replicate seed streams so the
 results are reproducible regardless of execution order.  The replicates
-run on forked workers where that pays (``_map_replicates``, through the
-fan-out in ``svyerr._fork`` that the parametric bootstrap also uses),
-and each chunk of them reuses one :class:`Workspace` of population-sized
-arrays.
+run on forked workers where the first one's measured time says that
+pays (``_map_replicates``, through ``svyerr._fork.timed``, the rule the
+parametric bootstrap also uses), and each chunk of them reuses one
+:class:`Workspace` of population-sized arrays.
 """
 
 from __future__ import annotations
@@ -242,22 +242,6 @@ def _check_failures(failures: int, reps: int) -> None:
         raise FitError(f"{failures}/{reps} replicates failed to fit")
 
 
-# Fan-out pays only past this many population units over all replicates: a
-# replicate costs about 70-140 ns per unit at N = 100,000 (one BLAS thread,
-# 2-vCPU VM), a fork plus join 10-20 ms.
-_FORK_MIN_WORK = 1_000_000
-
-
-def _worker_count(tasks: int, work: int) -> int:
-    """Processes to run ``tasks`` replicates totalling ``work`` population units on.
-
-    Serial below ``_FORK_MIN_WORK``; otherwise ``_fork.worker_count``'s
-    rule: min(tasks, usable CPUs // BLAS threads), and serial where
-    "fork" is not a start method or another Python thread runs.
-    """
-    return 1 if work < _FORK_MIN_WORK else _fork.worker_count(tasks)
-
-
 def _run_chunk(step, tasks):
     """``step(*task, ws)`` for each task in turn, with one workspace for the chunk."""
     ws = Workspace()
@@ -268,18 +252,16 @@ def _run_chunk(step, tasks):
 def _map_replicates(step, tasks: list[tuple], sizes: list[int]) -> list:
     """``[step(*task, ws) for task in tasks]``, fanned out over forked workers.
 
-    Each chunk of tasks gets its own ``Workspace`` ``ws`` (see ``_run_chunk``).
-
-    ``sizes`` is each task's population size.  The tasks are cut into one
-    contiguous chunk per worker, of about equal total size; the parent
-    computes the first chunk while forked children compute the rest, and
-    the chunks are joined in task order (``_fork.run``).  Each replicate
-    draws from its own seed stream, so the list is the serial one for any
-    worker count.
+    ``sizes`` is each task's population size, which its time is about
+    proportional to.  ``_fork.timed`` runs the first task here, timed, and
+    fans the rest out when that time scaled by their total size says it
+    pays, in contiguous chunks of about equal total size joined in task
+    order.  Each chunk of tasks gets its own ``Workspace`` ``ws`` (see
+    ``_run_chunk``), and each replicate draws from its own seed stream,
+    so the list is the serial one for any worker count.
     """
-    chunks = _fork.split(tasks, sizes, _worker_count(len(tasks), sum(sizes)))
     results: list = []
-    _fork.run(functools.partial(_run_chunk, step), chunks, results.append)
+    _fork.timed(functools.partial(_run_chunk, step), tasks, sizes, results.append)
     return results
 
 

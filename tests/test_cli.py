@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from svyerr import _fork, cli, fit, penalty, rules
+from svyerr import cli, fit, penalty, rules
 from svyerr import simulate as sim
 from svyerr.cli import load_dataset, main, SchemaError
 from svyerr.families import Family, FamilyKind
@@ -524,10 +524,10 @@ class TestCmdSimulate:
         assert paths[0] == paths[1]
 
 
-    def test_forked_workers_byte_identical_outputs(self, tmp_path, capsys, monkeypatch):
+    def test_forked_workers_byte_identical_outputs(self, tmp_path, capsys, fan_out):
         outputs = []
-        for workers in (1, 2):
-            monkeypatch.setattr(sim, "_worker_count", lambda tasks, work, n=workers: n)
+        for workers in (1, 2, 3):
+            forks = fan_out(workers)
             out_csv = tmp_path / f"{workers}.csv"
             out_json = tmp_path / f"{workers}.json"
             code = main([
@@ -536,8 +536,9 @@ class TestCmdSimulate:
                 "--out-csv", str(out_csv), "--out-json", str(out_json),
             ])
             assert code == 0
+            assert len(forks) == workers - 1
             outputs.append((capsys.readouterr().out, out_csv.read_bytes(), out_json.read_bytes()))
-        assert outputs[1] == outputs[0]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestCmdKnn:
@@ -652,12 +653,12 @@ class TestBootstrapChildFailure:
 
         return failing
 
-    def _run(self, command, logistic_csv, monkeypatch, fail):
+    def _run(self, command, logistic_csv, monkeypatch, fan_out, fail):
         # B = 100 is blocks of 32, 32, 32 and 4.  fit's two seeds over three
         # workers and knn's one seed over two both give the first short
         # block to a child.
-        monkeypatch.setattr(_fork, "_FORK_MIN_S", 0.0)
-        monkeypatch.setattr(_fork, "worker_count", lambda tasks: 3 if command == "fit" else 2)
+        workers = 3 if command == "fit" else 2
+        forks = fan_out(workers)
         if command == "fit":
             module, name, extra = penalty, "glm_rule", ["--family", "bernoulli",
                                                         "--method", "hte-bootstrap",
@@ -672,19 +673,20 @@ class TestBootstrapChildFailure:
         ])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == workers - 1
         return code
 
     @pytest.mark.parametrize("command", ["fit", "knn"])
-    def test_exit_3_with_the_child_message(self, logistic_csv, monkeypatch, capsys, command):
+    def test_exit_3_with_the_child_message(self, logistic_csv, monkeypatch, fan_out, capsys, command):
         def boom():
             raise ValueError("boom")
 
-        assert self._run(command, logistic_csv, monkeypatch, boom) == 3
+        assert self._run(command, logistic_csv, monkeypatch, fan_out, boom) == 3
         assert capsys.readouterr().err == "numerical error: boom\n"
 
     @pytest.mark.parametrize("command", ["fit", "knn"])
-    def test_exit_3_when_a_child_dies(self, logistic_csv, monkeypatch, capsys, command):
-        assert self._run(command, logistic_csv, monkeypatch, lambda: os._exit(7)) == 3
+    def test_exit_3_when_a_child_dies(self, logistic_csv, monkeypatch, fan_out, capsys, command):
+        assert self._run(command, logistic_csv, monkeypatch, fan_out, lambda: os._exit(7)) == 3
         err = capsys.readouterr().err
         assert err.startswith("worker error: forked worker ")
         assert err.endswith("ended without returning its results (exit code 7)\n")

@@ -414,7 +414,7 @@ class TestBootstrapFanOut:
     """Forked (seed, block) tasks give the serial reports bit for bit.
 
     Bootstraps this small stay in one process under the measured rule, so
-    the fan-out is forced: no minimum time and a fixed worker count.  With
+    the fan-out is forced (the ``fan_out`` fixture) and the forks counted.  With
     B = 100 a seed has blocks of 32, 32, 32 and 4 replicates; the first
     task runs alone, and the rest are cut by replicate count, so the last
     chunk (a child's) always ends with the last seed's short block.
@@ -423,25 +423,16 @@ class TestBootstrapFanOut:
     B = 100
     SEEDS = [0, 1, 2]
 
-    @staticmethod
-    def _force(monkeypatch, workers):
-        """Fan out over ``workers`` processes; returns the list the forks are counted in."""
-        monkeypatch.setattr(_fork, "_FORK_MIN_S", 0.0)
-        monkeypatch.setattr(_fork, "worker_count", lambda tasks: workers)
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-        return forks
-
-    def _serial(self, monkeypatch, rule_list, gen, loss):
+    def _serial(self, fan_out, rule_list, gen, loss):
         """Each rule's report from its own one-seed ``hte_bootstrap``, in one process."""
-        forks = self._force(monkeypatch, 1)
+        forks = fan_out(1)
         out = [[_report_hex(hte_bootstrap(rule, gen, self.B, seed, loss)) for rule in rule_list]
                for seed in self.SEEDS]
         assert forks == []
         return out
 
-    def _forked(self, monkeypatch, workers, rule_list, gen, loss):
-        forks = self._force(monkeypatch, workers)
+    def _forked(self, fan_out, workers, rule_list, gen, loss):
+        forks = fan_out(workers)
         out = [[_report_hex(r) for r in reports]
                for reports in pen._bootstrap_reports(rule_list, gen, self.B, self.SEEDS, loss)]
         assert len(forks) == workers - 1
@@ -450,18 +441,18 @@ class TestBootstrapFanOut:
 
     @pytest.mark.parametrize("family", [BERN, GAUSS], ids=["bernoulli", "gaussian"])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_glm_rule_reports_identical_for_any_worker_count(self, monkeypatch, family, workers):
+    def test_glm_rule_reports_identical_for_any_worker_count(self, fan_out, family, workers):
         rng = np.random.default_rng(40)
         X, y, d = _gaussian_instance(rng, n=80)
         if family is BERN:
             y = (rng.random(80) < 1.0 / (1.0 + np.exp(-X @ [0.2, 0.8, -0.5]))).astype(float)
         gen = fit_weighted_glm(X, y, family, d)
         args = ([glm_rule(X, d, family)], gen, Loss(LossKind.DEVIANCE, gen.family))
-        serial = self._serial(monkeypatch, *args)
-        assert self._forked(monkeypatch, workers, *args) == serial
+        serial = self._serial(fan_out, *args)
+        assert self._forked(fan_out, workers, *args) == serial
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_knn_vote_rules_identical_for_any_worker_count(self, monkeypatch, workers):
+    def test_knn_vote_rules_identical_for_any_worker_count(self, fan_out, workers):
         rng = np.random.default_rng(41)
         n = 90
         X = rng.normal(size=(n, 2))
@@ -469,11 +460,11 @@ class TestBootstrapFanOut:
         d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n), psu=np.arange(n) % 9)
         gen = fit_weighted_glm(np.column_stack([np.ones(n), X]), y, BERN, d)
         args = (rules._vote_rules(X, d, [3, 5, 9]), gen, Loss(LossKind.ZERO_ONE))
-        serial = self._serial(monkeypatch, *args)
-        assert self._forked(monkeypatch, workers, *args) == serial
+        serial = self._serial(fan_out, *args)
+        assert self._forked(fan_out, workers, *args) == serial
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_dropped_replicates_in_a_child_identical(self, monkeypatch, workers):
+    def test_dropped_replicates_in_a_child_identical(self, fan_out, workers):
         # replicates 5 and 70 of the last seed fail to train; its blocks all
         # run in the last child for 2 and for 3 workers
         rng = np.random.default_rng(42)
@@ -490,15 +481,15 @@ class TestBootstrapFanOut:
             mu[(Y[:, None, :] == failing).all(axis=2).any(axis=1)] = np.nan
             return mu
 
-        serial = self._serial(monkeypatch, [rule], gen, SQERR)
+        serial = self._serial(fan_out, [rule], gen, SQERR)
         assert [reports[0]["dropped_replicates"] for reports in serial] == [0, 0, 2]
-        assert self._forked(monkeypatch, workers, [rule], gen, SQERR) == serial
+        assert self._forked(fan_out, workers, [rule], gen, SQERR) == serial
 
-    def test_a_child_holds_at_most_one_seed_of_block_sums(self, monkeypatch, tmp_path):
+    def test_a_child_holds_at_most_one_seed_of_block_sums(self, fan_out, monkeypatch, tmp_path):
         # 16 seeds of two blocks over two workers: the child's chunk spans
         # about 8 seeds, but what it keeps until the chunk is done stays
         # within one seed's block sums (3 x n floats a block), not one per block
-        self._force(monkeypatch, 2)
+        forks = fan_out(2)
         n, B = 400, 2 * pen._BLOCK
         X, y, d = _gaussian_instance(np.random.default_rng(44), n=n)
         gen = fit_weighted_glm(X, y, GAUSS, d)
@@ -519,6 +510,7 @@ class TestBootstrapFanOut:
         assert len(reports) == 16
         [held] = [int(path.read_text()) for path in tmp_path.iterdir()]
         assert 0 < held <= (B // pen._BLOCK) * 3 * n * 8
+        assert len(forks) == 1
         _assert_no_child_left()
 
     def _one_seed(self, rule, gen):
@@ -528,9 +520,9 @@ class TestBootstrapFanOut:
         X, y, d = _gaussian_instance(np.random.default_rng(43), n=40)
         return glm_rule(X, d, GAUSS), fit_weighted_glm(X, y, GAUSS, d)
 
-    def test_error_in_a_child_is_raised_in_the_parent(self, monkeypatch):
+    def test_error_in_a_child_is_raised_in_the_parent(self, fan_out):
         # one seed and two workers: the child runs the short block alone
-        self._force(monkeypatch, 2)
+        forks = fan_out(2)
         inner, gen = self._gaussian()
         parent = os.getpid()
 
@@ -546,10 +538,11 @@ class TestBootstrapFanOut:
         assert isinstance(cause, _fork.WorkerError)
         assert str(cause).startswith("raised in forked worker ")
         assert "ValueError: boom" in str(cause)  # the child's traceback
+        assert len(forks) == 1
         _assert_no_child_left()
 
-    def test_child_that_dies_raises_a_clear_error(self, monkeypatch):
-        self._force(monkeypatch, 2)
+    def test_child_that_dies_raises_a_clear_error(self, fan_out):
+        forks = fan_out(2)
         inner, gen = self._gaussian()
         parent = os.getpid()
 
@@ -562,12 +555,13 @@ class TestBootstrapFanOut:
 
         with pytest.raises(_fork.WorkerError, match=r"without returning its results \(exit code 7\)"):
             self._one_seed(rule, gen)
+        assert len(forks) == 1
         _assert_no_child_left()
 
-    def test_parent_failure_kills_its_children(self, monkeypatch):
+    def test_parent_failure_kills_its_children(self, fan_out):
         # the child sleeps on the short block; the parent fails on its second
         # full block, and must not wait for the child to finish
-        self._force(monkeypatch, 2)
+        forks = fan_out(2)
         inner, gen = self._gaussian()
         parent, blocks = os.getpid(), []
 
@@ -585,6 +579,7 @@ class TestBootstrapFanOut:
         with pytest.raises(ValueError, match="parent boom"):
             self._one_seed(rule, gen)
         assert time.perf_counter() - t0 < 30.0
+        assert len(forks) == 1
         _assert_no_child_left()
 
 

@@ -15,13 +15,10 @@ the fan-out forced, against its recorded reference outputs.
 import importlib.util
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import pytest
-
-from svyerr import _fork
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,11 +48,8 @@ def test_small_job_passes_its_checks(name, tmp_path):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_full_bootstrap_job_under_forced_fan_out_matches_reference(workers, tmp_path, monkeypatch):
-    monkeypatch.setattr(_fork, "_FORK_MIN_S", 0.0)
-    monkeypatch.setattr(_fork, "worker_count", lambda tasks: workers)
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+def test_full_bootstrap_job_under_forced_fan_out_matches_reference(workers, tmp_path, fan_out):
+    forks = fan_out(workers)
     workload = WORKLOADS["bootstrap"]
     inputs = workload.prepare(0, str(tmp_path), small=False)
     out = workload.check(inputs, workload.job(inputs))

@@ -6,15 +6,14 @@ oracle that acceptance criterion 8 checks design-unbiasedness against.
 
 import itertools
 import math
-import multiprocessing
 import os
-import threading
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from svyerr import _fork
 from svyerr import simulate as sim
 from svyerr.fit import FitError
 from svyerr.simulate import (
@@ -354,31 +353,41 @@ def _hex(value):
 
 
 class TestFanOut:
-    """Forked workers reproduce the serial experiments bit for bit."""
+    """Forked workers reproduce the serial experiments bit for bit.
+
+    Runs this small stay in one process under the measured rule, so the
+    fan-out is forced (the ``fan_out`` fixture) and the forks counted.
+    """
 
     SPEC = ScenarioSpec(id="s2_bern", pop_size=5000, sample_size=200)
     CC = CaseControlSpec(sample_size=100, prevalence=0.05)
 
-    @staticmethod
-    def _workers(monkeypatch, n):
-        monkeypatch.setattr(sim, "_worker_count", lambda tasks, work: n)
-
-    def _run(self, monkeypatch, experiment, workers, reps):
-        self._workers(monkeypatch, workers)
+    def _run(self, experiment, reps):
         if experiment == "optimism":
             return _hex(run_optimism_experiment(self.SPEC, reps=reps, seed=5).records)
         grid = {"sample_size": [100, 150]}
         return _hex(run_relative_error_experiment(self.CC, grid, reps=reps, seed=5))
 
     @staticmethod
-    def _break_reps(monkeypatch, experiment, reps):
-        """Make the listed replicates' covariate constant, so their fit is rank deficient."""
+    def _break_reps(monkeypatch, experiment, reps, ran_in=None):
+        """Make the listed replicates' covariate constant, so their fit is rank deficient.
+
+        With ``ran_in``, a directory, each broken replicate writes the pid
+        of the process that ran it to a file there named "<cell>-<rep>".
+        """
+        def broken(x, cell, rep):
+            if rep not in reps:
+                return x
+            if ran_in is not None:
+                (ran_in / f"{cell}-{rep}").write_text(str(os.getpid()))
+            return np.zeros_like(x)
+
         if experiment == "optimism":
             real = sim.generate_population
 
             def population(spec, seed, *, out=None):
                 x, y, size = real(spec, seed, out=out)
-                return (np.zeros_like(x) if seed[1] in reps else x), y, size
+                return broken(x, 0, seed[1]), y, size
 
             monkeypatch.setattr(sim, "generate_population", population)
         else:
@@ -386,8 +395,8 @@ class TestFanOut:
 
             def population(cc, rng, ws):
                 x, y, cases = real(cc, rng, ws)
-                rep = rng.bit_generator.seed_seq.entropy[-1]
-                return (np.zeros_like(x) if rep in reps else x), y, cases
+                _, cell, rep = rng.bit_generator.seed_seq.entropy
+                return broken(x, cell, rep), y, cases
 
             monkeypatch.setattr(sim, "_case_control_population", population)
 
@@ -395,11 +404,17 @@ class TestFanOut:
     @pytest.mark.parametrize("experiment", ["optimism", "relative_error"])
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("reps", [1, 2, 5])
-    def test_records_identical_for_any_worker_count(self, monkeypatch, experiment, workers, reps):
-        serial = self._run(monkeypatch, experiment, 1, reps)
-        assert self._run(monkeypatch, experiment, workers, reps) == serial
+    def test_records_identical_for_any_worker_count(self, fan_out, experiment, workers, reps):
+        assert fan_out(1) == []
+        serial = self._run(experiment, reps)
+        forks = fan_out(workers)
+        assert self._run(experiment, reps) == serial
+        # one rep leaves at most one task after the first, which runs here;
+        # two reps of the grid leave three, of 1,000, 1,500 and 1,500 units,
+        # which make two chunks for two workers and for three
+        assert len(forks) == {1: 0, 2: int(experiment == "relative_error"), 5: workers - 1}[reps]
 
-    def test_unequal_population_sizes_keep_task_order(self, monkeypatch):
+    def test_unequal_population_sizes_keep_task_order(self, fan_out):
         # cells of 1,000 and 8,000 units: the chunks are cut by work, not count
         specs = [CaseControlSpec(sample_size=100, prevalence=p) for p in (0.05, 0.005)]
         tasks = [(spec, 2, cell, rep) for cell, spec in enumerate(specs) for rep in range(3)]
@@ -407,31 +422,42 @@ class TestFanOut:
         assert sizes == [1000] * 3 + [8000] * 3
         results = []
         for workers in (1, 2, 3):
-            self._workers(monkeypatch, workers)
+            forks = fan_out(workers)
             results.append(_hex(sim._map_replicates(sim._case_control_replicate, tasks, sizes)))
+            assert len(forks) == workers - 1
         assert results[1] == results[0] and results[2] == results[0]
 
     @pytest.mark.parametrize("experiment", ["optimism", "relative_error"])
-    def test_failure_in_a_child_keeps_the_serial_records(self, monkeypatch, experiment):
-        # with 2 workers the child computes replicate 4: the optimism chunks
-        # are reps 0-2 and 3-4, the relative-error chunks (cells of 1,000
-        # and 1,500 units) are cell 0 plus cell 1's rep 0, and the rest
-        self._break_reps(monkeypatch, experiment, {4})
-        serial = self._run(monkeypatch, experiment, 1, 5)
-        assert self._run(monkeypatch, experiment, 2, 5) == serial
+    def test_failure_in_a_child_keeps_the_serial_records(
+        self, fan_out, monkeypatch, tmp_path, experiment
+    ):
+        # with 2 workers the first task runs alone, and the rest are cut into
+        # optimism reps 1-2 and 3-4, or (cells of 1,000 and 1,500 units) cell
+        # 0's reps 1-4 with cell 1's reps 0-1, and cell 1's reps 2-4
+        self._break_reps(monkeypatch, experiment, {4}, tmp_path)
+        fan_out(1)
+        serial = self._run(experiment, 5)
+        forks = fan_out(2)
+        assert self._run(experiment, 5) == serial
+        assert len(forks) == 1
+        in_child = {path.name: int(path.read_text()) != os.getpid() for path in tmp_path.iterdir()}
         if experiment == "optimism":
             assert len(serial) == 4
+            assert in_child == {"0-4": True}
         else:
             assert [row["reps"] for row in serial] == [4, 4]
+            assert in_child == {"0-4": False, "1-4": True}
 
     @pytest.mark.parametrize("experiment", ["optimism", "relative_error"])
-    def test_too_many_failures_in_a_child_same_message(self, monkeypatch, experiment):
+    def test_too_many_failures_in_a_child_same_message(self, fan_out, monkeypatch, experiment):
         self._break_reps(monkeypatch, experiment, {3, 4})
         for workers in (1, 2):
+            forks = fan_out(workers)
             with pytest.raises(FitError, match=r"^2/5 replicates failed to fit$"):
-                self._run(monkeypatch, experiment, workers, 5)
+                self._run(experiment, 5)
+            assert len(forks) == workers - 1
 
-    def test_other_error_in_a_child_propagates(self, monkeypatch):
+    def test_other_error_in_a_child_propagates(self, fan_out, monkeypatch):
         real = sim.generate_population
 
         def population(spec, seed, *, out=None):
@@ -440,20 +466,24 @@ class TestFanOut:
             return real(spec, seed, out=out)
 
         monkeypatch.setattr(sim, "generate_population", population)
+        forks = fan_out(2)
         with pytest.raises(RuntimeError, match="population 4 failed"):
-            self._run(monkeypatch, "optimism", 2, 5)
+            self._run("optimism", 5)
+        assert len(forks) == 1
         with pytest.raises(ChildProcessError):  # every child was reaped
             os.waitpid(-1, os.WNOHANG)
 
     def test_below_threshold_builds_no_pool(self, monkeypatch):
+        # 3 reps of 5,000 units: the CPU rule alone would fork for the two
+        # reps after the first, but the first takes a few ms, which predicts
+        # far less than _FORK_MIN_S for the rest
         def no_fork():
             raise AssertionError("a worker process was forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        # 3 reps of 5,000 units: the CPU rule alone would fork 3 workers
-        assert sim._worker_count(3, sim._FORK_MIN_WORK) == 3
+        assert _fork.worker_count(2) == 2
         assert len(run_optimism_experiment(self.SPEC, reps=3, seed=5).records) == 3
 
 
@@ -491,21 +521,23 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("scenario", sim.SCENARIO_IDS)
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_experiment_records_equal_lone_replicates(self, monkeypatch, scenario, workers):
-        monkeypatch.setattr(sim, "_worker_count", lambda tasks, work: workers)
+    def test_experiment_records_equal_lone_replicates(self, fan_out, scenario, workers):
+        forks = fan_out(workers)
         spec = ScenarioSpec(id=scenario, pop_size=5000, sample_size=200)
         records = run_optimism_experiment(spec, reps=4, seed=9).records
+        assert len(forks) == workers - 1
         fresh = [sim._optimism_replicate(spec, 9, rep, sim.Workspace()) for rep in range(4)]
         assert _hex(records) == _hex(fresh)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_case_control_records_equal_lone_replicates(self, monkeypatch, workers):
+    def test_case_control_records_equal_lone_replicates(self, fan_out, workers):
         # cells of 1,000 and 8,000 units: a chunk's workspace changes size
-        monkeypatch.setattr(sim, "_worker_count", lambda tasks, work: workers)
+        forks = fan_out(workers)
         specs = [CaseControlSpec(sample_size=100, prevalence=p) for p in (0.05, 0.005, 0.05)]
         tasks = [(spec, 4, cell, rep) for cell, spec in enumerate(specs) for rep in range(2)]
         sizes = [sim._case_control_pop_size(t[0]) for t in tasks]
         results = sim._map_replicates(sim._case_control_replicate, tasks, sizes)
+        assert len(forks) == workers - 1
         fresh = [sim._case_control_replicate(*t, sim.Workspace()) for t in tasks]
         assert _hex(results) == _hex(fresh)
 
@@ -552,8 +584,8 @@ class TestWorkspace:
             assert design.weights.tobytes() == want_design.weights.tobytes()
 
     @pytest.mark.parametrize("scenario", sim.SCENARIO_IDS)
-    def test_serial_experiment_peaks_below_six_population_arrays(self, monkeypatch, scenario):
-        monkeypatch.setattr(sim, "_worker_count", lambda tasks, work: 1)
+    def test_serial_experiment_peaks_below_six_population_arrays(self, fan_out, scenario):
+        fan_out(1)
         spec = ScenarioSpec(id=scenario, pop_size=self.POP, sample_size=1000)
         run_optimism_experiment(spec, reps=1, seed=0)  # lazy imports
         peak = _peak_bytes(lambda: run_optimism_experiment(spec, reps=3, seed=0))
@@ -567,56 +599,6 @@ class TestWorkspace:
         # the fit and its n-sized arrays, and isfinite's one-byte mask over N
         peak = _peak_bytes(lambda: sim._optimism_replicate(spec, 0, 1, ws))
         assert peak < self.ARRAY_BYTES / 2
-
-
-class TestWorkerCount:
-    WORK = 10**7
-
-    @pytest.fixture(autouse=True)
-    def cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-
-    def test_unpinned_blas_stays_serial(self):
-        assert sim._worker_count(100, self.WORK) == 1
-
-    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
-    @pytest.mark.parametrize("threads, workers", [("1", 4), ("2", 2), ("3", 1), ("8", 1)])
-    def test_cpus_divided_by_blas_threads(self, monkeypatch, var, threads, workers):
-        monkeypatch.setenv(var, threads)
-        assert sim._worker_count(100, self.WORK) == workers
-
-    def test_openblas_setting_wins(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setenv("OMP_NUM_THREADS", "4")
-        assert sim._worker_count(100, self.WORK) == 4
-
-    def test_no_more_workers_than_tasks(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert sim._worker_count(3, self.WORK) == 3
-
-    def test_below_work_threshold_serial(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert sim._worker_count(100, sim._FORK_MIN_WORK - 1) == 1
-
-    def test_other_thread_running_serial(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert sim._worker_count(100, self.WORK) == 4
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(10.0,))
-        thread.start()
-        try:
-            assert sim._worker_count(100, self.WORK) == 1
-        finally:
-            release.set()
-            thread.join(timeout=10.0)
-        assert not thread.is_alive()
-
-    def test_no_fork_serial(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert sim._worker_count(100, self.WORK) == 1
 
 
 class TestBruteForceOptimism:
