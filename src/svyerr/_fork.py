@@ -20,7 +20,9 @@ the child made before it), caused by a :class:`WorkerError` that holds
 the child's traceback; a child that ends without reporting, or whose
 exception does not pickle, raises :class:`WorkerError`.  The parent reaps
 every child before ``run`` returns or raises, and a failure in the parent
-kills the children still running.
+kills the children still running.  A fork that fails for want of a
+process or a pipe fails nothing: its chunk and the later ones run in the
+parent, in their turn, so ``fold`` still sees the serial order.
 """
 
 from __future__ import annotations
@@ -50,12 +52,12 @@ def worker_count(tasks: int) -> int:
     OMP_NUM_THREADS, a value that is not a positive integer counting as
     unset, else the CPU count.  A process whose BLAS is not pinned to one
     thread already keeps every CPU busy, and stays serial.  Also serial where
-    "fork" is not a start method, and while the process runs another
+    the platform has no ``os.fork``, and while the process runs another
     Python thread: a forked child gets only the calling thread, and a
     lock another thread held stays locked in it.  (Spawned workers would
     each re-import numpy, which costs more than a typical run.)
     """
-    if threading.active_count() > 1:
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -67,12 +69,7 @@ def worker_count(tasks: int) -> int:
         if value.isdecimal() and int(value) > 0:
             blas_threads = int(value)
             break
-    workers = min(tasks, cpus // blas_threads)
-    if workers < 2:
-        return 1
-    import multiprocessing  # here, not at import time: it costs about 10 ms to load
-
-    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+    return max(1, min(tasks, cpus // blas_threads))
 
 
 def split(tasks: list, sizes, parts: int) -> list[list]:
@@ -127,13 +124,20 @@ def run(work, chunks: list[list], fold) -> None:
     """``fold(item)`` for every item of ``work(chunk)``, chunk by chunk.
 
     The first chunk runs here; each later non-empty one runs in a forked
-    child, started before the first chunk and folded after it.
+    child, started before the first chunk and folded after it.  Where a
+    fork fails (``os.fork`` or ``os.pipe`` raises OSError), that chunk and
+    every later one run here instead, in their turn after the children.
     """
     children = []  # (pid, pipe) of the chunks not yet folded, in order
+    here = []  # the chunks from the first failed fork on
     try:
-        for chunk in chunks[1:]:
+        for i, chunk in enumerate(chunks[1:], 1):
             if chunk:
-                children.append(_start(work, chunk))
+                try:
+                    children.append(_start(work, chunk))
+                except OSError:  # no process or pipe to spare
+                    here = chunks[i:]
+                    break
         for item in work(chunks[0]):
             fold(item)
         while children:
@@ -158,6 +162,9 @@ def run(work, chunks: list[list], fold) -> None:
             error, trace = value
             if error is not None:
                 raise error from WorkerError(f"raised in forked worker {pid}:\n{trace}")
+        for chunk in here:
+            for item in work(chunk):
+                fold(item)
     finally:  # after a failure: kill and reap the children not yet folded
         if children:
             import signal  # here, not at import time: a serial run never needs it

@@ -103,11 +103,9 @@ class SurveyDesign:
         return float(self.weights @ v) / self.pop_size
 
     @classmethod
-    def uniform(cls, n: int, pop_size: float | None = None) -> "SurveyDesign":
-        """Equal-probability design; pi = n/N (or a census if N is omitted)."""
-        if pop_size is None:
-            return cls(pi=np.ones(n))
-        return cls(pi=np.full(n, n / float(pop_size)), pop_size=float(pop_size))
+    def uniform(cls, n: int) -> "SurveyDesign":
+        """A census of ``n`` units: every pi is 1, so N = n."""
+        return cls(pi=np.ones(n))
 
     @cached_property
     def psu_cells(self) -> tuple[np.ndarray, np.ndarray]:

@@ -112,10 +112,11 @@ def hte_analytic(
 
     Deviance loss uses the trace penalty 2 tr(J V) directly; squared
     error rescales the per-unit natural-parameter covariances by the
-    model variance (for gaussian this is the multiplication by
-    sigma-hat^2).  ``daic`` is the design-based AIC on the deviance
-    scale, HT-weighted deviance + 2 tr(J V); the deviance differs from
-    -2 l-hat by a theta-free saturated-model constant.
+    model variance (for gaussian, by sigma-hat^2), with ``model_based``
+    as in :func:`cov_lambda_y_elementwise` (squared error only).  ``daic``
+    is the design-based AIC on the deviance scale, HT-weighted deviance +
+    2 tr(J V); the deviance differs from -2 l-hat by a theta-free
+    saturated-model constant.
     """
     if loss is None:
         loss = Loss(LossKind.DEVIANCE, fit.family)
@@ -124,13 +125,10 @@ def hte_analytic(
     design = fit.design
 
     if loss.kind is LossKind.DEVIANCE:
-        err_w = fit.deviance_weighted
         if model_based:
-            cov = cov_lambda_y_elementwise(fit, model_based=True)
-            # one division by N phi, where design.mean(cov) / phi would round twice
-            omega = 2.0 * float(design.weights @ cov) / (design.pop_size * fit.family.dispersion)
-        else:
-            omega = 2.0 * tr_jv
+            raise ValueError("the model-based penalty is available for squared error only")
+        err_w = fit.deviance_weighted
+        omega = 2.0 * tr_jv
     elif loss.kind is LossKind.SQUARED_ERROR:
         if structure is not MeatStructure.INDEPENDENT:
             raise ValueError(

@@ -172,7 +172,7 @@ def test_criterion_7_uniform_gaussian_penalty_closed_form():
         n, p = int(rng.integers(30, 100)), int(rng.integers(2, 5))
         X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
         y = X @ (rng.normal(size=p) * 0.5) + rng.normal(size=n)
-        f = fit_weighted_glm(X, y, GAUSS, SurveyDesign.uniform(n, pop_size=5 * n))
+        f = fit_weighted_glm(X, y, GAUSS, SurveyDesign(pi=np.full(n, n / (5 * n)), pop_size=5 * n))
         omega = hte_analytic(f, loss=SQERR, model_based=True).omega_hat
         target = 2.0 * p * f.family.dispersion / n
         worst = max(worst, abs(omega - target) / target)

@@ -1,6 +1,7 @@
 """Command-line interface: ingestion, subcommands, exit codes."""
 
 import csv
+import errno
 import json
 import os
 
@@ -87,6 +88,19 @@ class TestLoadDataset:
         X, y, design = load_dataset(str(path), "y", ["x"], "w", None)
         assert len(y) == 3
         assert "dropped 1 row" in capsys.readouterr().err
+
+    def test_no_complete_row_schema_exit(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        _write_csv(path, ["y", "x", "w"], [[1.0, "", 2.0], ["", 2.0, 2.0]])
+        code = main([
+            "fit", "--data", str(path), "--outcome", "y", "--covariates", "x",
+            "--weights", "w", "--family", "gaussian", "--seed", "1",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "dropped 2 row(s) with missing values\n"
+            "schema error: no complete rows in the input\n"
+        )
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -539,6 +553,28 @@ class TestCmdSimulate:
             assert len(forks) == workers - 1
             outputs.append((capsys.readouterr().out, out_csv.read_bytes(), out_json.read_bytes()))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_failed_fork_runs_its_chunk_here(self, monkeypatch, capsys, fan_out):
+        argv = ["simulate", "--scenario", "s1", "--pop", "2000", "--n", "50",
+                "--reps", "6", "--seed", "1"]
+        fan_out(1)
+        assert main(argv) == 0
+        serial = capsys.readouterr()
+        forks, fork = fan_out(3), os.fork
+        tries = []
+
+        def second_fork_fails():
+            tries.append(None)
+            if len(tries) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        assert main(argv) == 0
+        assert capsys.readouterr() == serial
+        assert (len(tries), len(forks)) == (2, 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestCmdKnn:

@@ -119,10 +119,10 @@ class TestSurveyDesign:
         v = rng.normal(size=50)
         assert d.mean(v).hex() == (float(d.weights @ v) / 213.0).hex()
 
-    def test_uniform(self):
-        d = SurveyDesign.uniform(5, pop_size=20)
-        np.testing.assert_allclose(d.weights, 4.0)
-        assert d.pop_size == 20.0
+    def test_uniform(self):  # a census: every pi is 1
+        d = SurveyDesign.uniform(5)
+        np.testing.assert_array_equal(d.weights, np.ones(5))
+        assert d.pop_size == 5.0
 
 
 class TestHtTotal:
@@ -242,7 +242,7 @@ class TestMeatIndependent:
         n, N, p = 12, 48, 3
         X = rng.normal(size=(n, p))
         r = rng.normal(size=n)
-        d = SurveyDesign.uniform(n, pop_size=N)
+        d = SurveyDesign(pi=np.full(n, n / N), pop_size=N)
         expected = (X * r[:, None]).T @ (X * r[:, None]) / n**2
         np.testing.assert_allclose(meat_independent(X, r, d), expected, atol=1e-12)
 

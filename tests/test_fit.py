@@ -160,6 +160,42 @@ class TestIrlsCore:
             np.testing.assert_allclose(block.mu[i], mu, rtol=1e-10, atol=0)
             assert block.iterations[i] == iterations
 
+    @staticmethod
+    def _cauchy_poisson_block(seed):
+        """Four Poisson rows on a heavy-tailed covariate: fits that need step-halving."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 30))
+        X = np.column_stack([np.ones(n), rng.standard_cauchy(n)])
+        Y = rng.poisson(np.exp(rng.normal(1, 2, (4, n)))).astype(float)
+        return X, Y, SurveyDesign(pi=rng.uniform(0.05, 1.0, n))
+
+    @pytest.mark.parametrize("seed, failed", [(362, []), (30, [2])])
+    def test_step_halving_matches_serial_oracle(self, monkeypatch, seed, failed):
+        X, Y, d = self._cauchy_poisson_block(seed)
+        rounds, natural_to_mean = [], fam.natural_to_mean
+        with monkeypatch.context() as m:
+            m.setattr(fam, "natural_to_mean", lambda *a: rounds.append(None) or natural_to_mean(*a))
+            block = irls(X, Y, POIS, d)
+        # one candidate per iteration, and one more per halving round
+        assert len(rounds) > max(block.iterations)
+        for i, y in enumerate(Y):
+            if i in failed:
+                with pytest.raises(FitError) as exc:
+                    _serial_irls(X, y, POIS, d)
+                assert block.errors[i] == str(exc.value)
+                assert np.isnan(block.theta[i]).all() and np.isnan(block.mu[i]).all()
+                continue
+            theta, mu, iterations = _serial_irls(X, y, POIS, d)
+            assert block.errors[i] is None
+            np.testing.assert_allclose(block.theta[i], theta, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(block.mu[i], mu, rtol=1e-10, atol=0)
+            assert block.iterations[i] == iterations
+
+    def test_fit_raises_the_rows_halving_failure(self):
+        X, Y, d = self._cauchy_poisson_block(30)
+        with pytest.raises(FitError, match="^step-halving failed to decrease the weighted deviance$"):
+            fit_weighted_glm(X, Y[2], POIS, d)
+
     def test_singular_system_is_a_nan_row_not_a_failed_block(self):
         A = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
         got = fit_mod._solve_rows(A, np.ones((3, 2)))

@@ -1,6 +1,6 @@
 """The forked fan-out: how many workers, when ``timed`` forks, and what comes back from a child."""
 
-import multiprocessing
+import errno
 import os
 import threading
 import time
@@ -107,7 +107,7 @@ class TestWorkerCount:
 
     def test_no_fork_serial(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         assert _fork.worker_count(100) == 1
 
 
@@ -115,6 +115,23 @@ def test_run_folds_in_chunk_order():
     items = []
     _fork.run(lambda chunk: iter(chunk), [[1, 2], [3], [], [4, 5]], items.append)
     assert items == [1, 2, 3, 4, 5]
+    _assert_no_child_left()
+
+
+def test_failed_fork_runs_its_chunk_and_the_later_ones_here(monkeypatch):
+    forks, fork = [], os.fork
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    pids = []
+    _fork.run(_pids, [[0.0], [0.0], [0.0], [0.0]], pids.append)
+    assert len(forks) == 2  # no fork is tried after the first that fails
+    assert pids[0] == pids[2] == pids[3] == os.getpid() != pids[1]
     _assert_no_child_left()
 
 

@@ -10,9 +10,9 @@ from svyerr import _fork, rules
 from svyerr import families as fam
 from svyerr import fit as fitting
 from svyerr import penalty as pen
-from svyerr.design import SurveyDesign
+from svyerr.design import MeatStructure, SurveyDesign
 from svyerr.families import Family, FamilyKind, Loss, LossKind
-from svyerr.fit import fit_weighted_glm, sandwich_variance
+from svyerr.fit import FitError, fit_weighted_glm, sandwich_variance
 from svyerr.penalty import (
     aic_naive,
     cov_lambda_y_elementwise,
@@ -51,7 +51,7 @@ def _gaussian_instance(rng, n=60, p=3, uniform=False):
     X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
     y = X @ (rng.normal(size=p) * 0.5) + rng.normal(size=n)
     if uniform:
-        design = SurveyDesign.uniform(n, pop_size=4 * n)
+        design = SurveyDesign(pi=np.full(n, n / (4 * n)), pop_size=4 * n)
     else:
         design = SurveyDesign(pi=rng.uniform(0.1, 1.0, size=n))
     return X, y, design
@@ -88,6 +88,26 @@ class TestHteAnalytic:
         assert observed.omega_hat == pytest.approx(
             2.0 * p * f.family.dispersion / n, rel=0.5
         )
+
+    def test_model_based_deviance_rejected(self):
+        X, y, d = _gaussian_instance(np.random.default_rng(0))
+        f = fit_weighted_glm(X, y, GAUSS, d)
+        with pytest.raises(ValueError, match="squared error only"):
+            hte_analytic(f, model_based=True)
+
+    def test_squared_error_rejects_stratified_meat(self):
+        X, y, d = _gaussian_instance(np.random.default_rng(0), n=40)
+        clustered = SurveyDesign(weights=d.weights, psu=np.repeat(np.arange(10), 4))
+        f = fit_weighted_glm(X, y, GAUSS, clustered)
+        with pytest.raises(ValueError, match="only available for the independent meat structure"):
+            hte_analytic(f, loss=SQERR, structure=MeatStructure.STRATIFIED_CLUSTER)
+
+    def test_zero_one_loss_rejected(self):
+        rng = np.random.default_rng(0)
+        y = (rng.random(30) < 0.4).astype(float)
+        f = fit_weighted_glm(np.ones((30, 1)), y, BERN, SurveyDesign.uniform(30))
+        with pytest.raises(ValueError, match="deviance and squared error only"):
+            hte_analytic(f, loss=Loss(LossKind.ZERO_ONE))
 
     def test_zero_residuals_zero_omega(self):
         rng = np.random.default_rng(1)
@@ -320,11 +340,18 @@ class TestHteBootstrap:
                 return np.full(Y_.shape, np.nan)
             return Y_
 
-        from svyerr.fit import FitError
-
         with pytest.raises(FitError, match="replicates"):
             hte_bootstrap(flaky_rule, fit_weighted_glm(X, y, GAUSS, d), B=20, seed=4,
                           loss=SQERR)
+
+    def test_rule_failing_on_the_observed_outcomes_rejected(self):
+        X, y, d = _gaussian_instance(np.random.default_rng(14), n=30)
+
+        def rule(Y_):
+            return np.full(Y_.shape, np.nan)
+
+        with pytest.raises(FitError, match="^the rule failed to train on the observed outcomes$"):
+            hte_bootstrap(rule, fit_weighted_glm(X, y, GAUSS, d), B=20, seed=4, loss=SQERR)
 
     def test_report_dict_carries_dropped_replicates(self):
         rng = np.random.default_rng(15)
