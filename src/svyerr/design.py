@@ -6,6 +6,13 @@ sample, and owns the Horvitz-Thompson mean.  The meat builders return the
 estimated covariance of the weighted score: a plain inverse-probability
 outer-product sum for independent samples, or the stratified block form
 with raw within-PSU blocks and mean-centered cross-PSU blocks.
+
+Working set, in arrays of n numbers: :attr:`SurveyDesign.psu_cells` holds
+about seven at once (the stratum codes, the (stratum, PSU label) keys and
+np.unique's sort of them), and keeps one, the PSU cell of each unit.
+Beside X, the residuals and the cells, ``meat_stratified_cluster`` holds at
+most three, since it scales X one column at a time, and
+``meat_independent`` p + 1 (the scaled copy of X, and w r).
 """
 
 from __future__ import annotations
@@ -125,7 +132,10 @@ class SurveyDesign:
             h = np.zeros_like(j)
         else:
             h = np.unique(self.strata, return_inverse=True)[1]
-        _, first, cell = np.unique(h * (j.max() + 1) + j, return_index=True, return_inverse=True)
+        key = h * (j.max() + 1)
+        key += j
+        del j  # the label codes go before the sort of the (stratum, label) keys
+        _, first, cell = np.unique(key, return_index=True, return_inverse=True)
         order = np.lexsort((first, h[first]))
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
@@ -149,9 +159,13 @@ def meat_independent(X, residuals, design: SurveyDesign) -> np.ndarray:
     return (V + V.T) / 2.0
 
 
-def _segment_sums(group, X, n_groups: int) -> np.ndarray:
-    """Column sums of ``X`` (n, p) within each of ``n_groups`` groups."""
-    return np.stack([np.bincount(group, x, n_groups) for x in X.T], axis=1)
+def _segment_sums(group, X, n_groups: int, scale=None) -> np.ndarray:
+    """Column sums of ``X`` (n, p), each times ``scale`` if given, within each of ``n_groups`` groups.
+
+    One scaled column of n is formed at a time, never the scaled (n, p) matrix.
+    """
+    return np.stack(
+        [np.bincount(group, x if scale is None else x * scale, n_groups) for x in X.T], axis=1)
 
 
 def meat_stratified_cluster(X, residuals, design: SurveyDesign) -> np.ndarray:
@@ -186,8 +200,8 @@ def meat_stratified_cluster(X, residuals, design: SurveyDesign) -> np.ndarray:
         raise DesignError(f"{where} a single PSU; variance within one cluster is unidentifiable")
     w = design.weights
     rbar = np.bincount(cell, r, n_cells) / np.bincount(cell, minlength=n_cells)
-    U = _segment_sums(cell, X * (w * r)[:, None], n_cells)
-    C = _segment_sums(cell, X * (w * (r - rbar[cell]))[:, None], n_cells)
+    U = _segment_sums(cell, X, n_cells, w * r)
+    C = _segment_sums(cell, X, n_cells, w * (r - rbar[cell]))
     S = _segment_sums(stratum_of_cell, C, n_strata)
     # same-PSU blocks plus all cross-PSU centered blocks
     V = (U.T @ U + S.T @ S - C.T @ C) / design.pop_size**2

@@ -7,6 +7,12 @@ IRLS loop fits a block of outcome rows at once, so the parametric
 bootstrap retrains on many simulated outcome vectors per call.  The bread
 J-hat, meat V-hat_U, and sandwich V-hat are exposed so the trace penalty
 tr(J V) is available downstream.
+
+Working set, in arrays of n doubles beside the caller's X and y: a one-row
+fit with p covariates holds at most 2p + 3 (the weights, the IRLS basis
+B' and the normal matrices' p + 2; see :func:`irls`).  The sandwich holds
+the fit's weights, means and variances, and forms J-hat from one scaled
+copy of X (p more); the meats' own arrays are stated in the design module.
 """
 
 from __future__ import annotations
@@ -105,7 +111,8 @@ def _solve_basis(X, w) -> tuple[np.ndarray, np.ndarray]:
         u, s, vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FitError(f"design matrix SVD failed: {exc}") from None
-    if s.size and s[-1] <= s[0] * max(A.shape) * np.finfo(float).eps:
+    del A  # sqrt(W) X is not read again: it goes before B' is formed
+    if s.size and s[-1] <= s[0] * max(X.shape) * np.finfo(float).eps:
         bad = int(np.argmax(np.abs(vt[-1])))
         raise FitError(f"design matrix is rank deficient (column {bad})")
     # B' in one pass, in contiguous rows, which make the stacked products fast
@@ -149,10 +156,23 @@ def irls(X, Y, family: Family, design: SurveyDesign, *, _basis=None) -> IrlsBloc
     a stop once max |score| <= TOL_SCORE times its score scale.  The first
     step is accepted whatever its deviance, so the start has none.  Active
     rows are solved together by batched normal equations; converged rows
-    leave the active set.  A row whose model variance degenerates, whose
-    normal equations are singular, whose halving fails or that does not
-    converge in MAX_ITER iterations is a failed row, not a failed block.
-    Only a rank-deficient design raises.
+    leave the active set.  A row whose normal equations are singular,
+    whose halving fails or that does not converge in MAX_ITER iterations
+    is a failed row, not a failed block.  Only a rank-deficient design
+    raises.  No row's model variance can degenerate: the start lies in
+    the open mean domain, and the +-30 clamp of the natural parameter
+    keeps every later bernoulli or poisson variance in [9.4e-14, 1.1e13].
+
+    Working set, in arrays of n doubles, with k rows active: B' (p) and the
+    weights (1), plus k (p + 2) while the normal matrices are formed (the
+    weighted working response, the IRLS weights and the (k, p, n) product
+    B' W), or k (2 + t) while a candidate step is scored (its natural and
+    mean parameters, in the buffers of the first two, and the deviance's
+    t temporaries, three for bernoulli).  The means of the rows that have
+    converged are kept as they leave, and the (m, n) block of means is
+    formed from them after the loop.  Before the iterations,
+    ``_solve_basis`` holds sqrt(w), sqrt(W) X and U (2p + 1), then sqrt(w),
+    U and B'.
 
     ``_basis`` is ``_solve_basis(X, design.weights)`` when the caller
     already holds it (a prediction rule retraining on many blocks).
@@ -163,10 +183,8 @@ def irls(X, Y, family: Family, design: SurveyDesign, *, _basis=None) -> IrlsBloc
     w = design.weights
     Bt, M = _solve_basis(X, w) if _basis is None else _basis
     deviance = fam.Loss(fam.LossKind.DEVIANCE, family)
-    out = IrlsBlock(
-        theta=np.full((m, p), np.nan), mu=np.full((m, n), np.nan),
-        iterations=np.zeros(m, dtype=int), errors=[None] * m,
-    )  # filled in as rows leave the iteration
+    out_theta, iterations, errors = np.full((m, p), np.nan), np.zeros(m, dtype=int), [None] * m
+    fitted = []  # (block rows, means) of the rows that converged, as they leave
 
     # state of the rows still iterating; rows[i] is the block row of row i
     rows, y = np.arange(m), Y
@@ -176,29 +194,35 @@ def irls(X, Y, family: Family, design: SurveyDesign, *, _basis=None) -> IrlsBloc
     lam = np.asarray(fam.mean_to_natural(family, mu))
     dev = np.full(m, np.inf)  # no deviance to beat before the unconditional first step
 
-    def leave(keep, message):
+    def leave(keep, message, *state):
         """Drop the rows outside ``keep`` from the iteration, failed with ``message``."""
         for i in rows[~keep]:
-            out.errors[i] = message
-        return [a[keep] for a in (rows, y, scale, theta, mu, lam, dev)]
+            errors[i] = message
+        return [a[keep] for a in (rows, y, scale, *state)]
 
     for it in range(1, MAX_ITER + 1):
-        v = np.asarray(fam.unit_variance(family, mu))
-        ok = np.all((v > 0.0) & np.isfinite(v), axis=1)
-        if not ok.all():
-            rows, y, scale, theta, mu, lam, dev = leave(
-                ok, "degenerate fit: zero model variance at a fitted point")
-            v = v[ok]
-        wv = w * v
-        theta_new = _solve_rows((Bt * wv[:, None, :]) @ Bt.T, (wv * (lam + (y - mu) / v)) @ Bt.T) @ M.T
+        # the weighted working response w v (lam + (y - mu) / v) in one array,
+        # and the IRLS weights w v formed in place from v; lam and mu are not
+        # read again, so they go before the normal matrices
+        wv = np.asarray(fam.unit_variance(family, mu))
+        z = y - mu
+        z /= wv
+        np.add(lam, z, out=z)
+        del lam, mu
+        wv *= w
+        z *= wv
+        theta_new = _solve_rows((Bt * wv[:, None, :]) @ Bt.T, z @ Bt.T) @ M.T
         ok = np.all(np.isfinite(theta_new), axis=1)
         if not ok.all():
-            rows, y, scale, theta, mu, lam, dev = leave(ok, "weighted normal equations are singular")
-            theta_new = theta_new[ok]
+            rows, y, scale, theta, dev, theta_new = leave(
+                ok, "weighted normal equations are singular", theta, dev, theta_new)
         # step-halving keeps each row's weighted deviance non-increasing
         # after the first (unconditionally accepted) update
         k = len(rows)
-        cand, lam_c, mu_c, dev_c = np.empty((k, p)), np.empty((k, n)), np.empty((k, n)), np.empty(k)
+        # the candidates' natural and mean parameters are written into the
+        # buffers of z and w v, which the solve no longer reads
+        cand, lam_c, mu_c, dev_c = np.empty((k, p)), z[:k], wv[:k], np.empty(k)
+        del wv, z
         step = np.ones(k)
         todo = slice(None)  # every row tries the full step first
         for _ in range(30):
@@ -221,19 +245,23 @@ def irls(X, Y, family: Family, design: SurveyDesign, *, _basis=None) -> IrlsBloc
         if todo.size:
             ok = np.ones(k, dtype=bool)
             ok[todo] = False
-            rows, y, scale, theta, mu, lam, dev = leave(
-                ok, "step-halving failed to decrease the weighted deviance")
+            rows, y, scale, theta, lam, mu, dev = leave(
+                ok, "step-halving failed to decrease the weighted deviance", theta, lam, mu, dev)
         score = (w * (y - mu)) @ X
         done = np.max(np.abs(score), axis=1) <= TOL_SCORE * scale
         if done.any():
             r = rows[done]
-            out.theta[r], out.mu[r] = theta[done], mu[done]
-            out.iterations[r] = it
-            rows, y, scale, theta, mu, lam, dev = leave(~done, None)
+            out_theta[r] = theta[done]
+            fitted.append((r, mu[done]))
+            iterations[r] = it
+            rows, y, scale, theta, lam, mu, dev = leave(~done, None, theta, lam, mu, dev)
             if rows.size == 0:
                 break
     leave(np.zeros(len(rows), dtype=bool), f"IRLS did not converge in {MAX_ITER} iterations")
-    return out
+    out_mu = np.full((m, n), np.nan)
+    for r, mu_r in fitted:
+        out_mu[r] = mu_r
+    return IrlsBlock(theta=out_theta, mu=out_mu, iterations=iterations, errors=errors)
 
 
 def fit_weighted_glm(
@@ -247,7 +275,8 @@ def fit_weighted_glm(
 
     For gaussian outcomes the dispersion is re-estimated after the fit as
     the HT-weighted mean squared residual (divisor sum of weights) unless
-    ``estimate_dispersion`` is False.
+    ``estimate_dispersion`` is False; an exact fit, whose estimate is 0,
+    raises FitError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -275,8 +304,8 @@ def fit_weighted_glm(
     fitted_family = family
     if family.kind is FamilyKind.GAUSSIAN and estimate_dispersion:
         sigma2 = float(design.weights @ (y - mu) ** 2 / design.weights.sum())
-        if sigma2 <= 0.0:
-            sigma2 = np.finfo(float).tiny
+        if sigma2 == 0.0:  # the information and the meat would divide by it
+            raise FitError("zero residual variance: the gaussian fit is exact, so its dispersion cannot be estimated")
         fitted_family = Family(family.kind, sigma2)
 
     loss = fam.Loss(fam.LossKind.DEVIANCE, fitted_family)

@@ -4,6 +4,7 @@ import csv
 import errno
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,21 @@ class TestCmdFit:
                      "--weights", "w", "--family", "bernoulli", "--seed", "1",
                      "--method", method, "--B", "20", "--interval-runs", "3", *extra]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["hte-analytic", "hte-bootstrap"])
+    def test_exact_gaussian_fit_numeric_exit(self, tmp_path, capsys, method):
+        # y = 1 - 2x is fitted exactly, so the dispersion estimate is 0
+        path = tmp_path / "exact.csv"
+        _write_csv(path, ["x", "y", "w"], [[i % 2, 1 - 2 * (i % 2), 1] for i in range(20)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--data", str(path), "--outcome", "y", "--covariates", "x",
+                         "--weights", "w", "--family", "gaussian", "--seed", "1", "--method", method])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numerical error: zero residual variance: the gaussian fit is exact, "
+                       "so its dispersion cannot be estimated\n")
 
     def test_single_psu_stratum_numeric_exit(self, tmp_path, capsys):
         path = self._clustered_csv(tmp_path / "lonely.csv", psu_per_stratum=(3, 1, 3))

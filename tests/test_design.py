@@ -225,6 +225,14 @@ class TestPsuCells:
         assert "psu_cells" in vars(d)
 
 
+@pytest.mark.parametrize("meat", [meat_independent, meat_stratified_cluster])
+@pytest.mark.parametrize("rows, residuals", [(6, 5), (5, 6), (5, 5)])
+def test_meat_rejects_misaligned_inputs(meat, rows, residuals):
+    d = SurveyDesign(pi=np.full(6, 0.5), strata=np.repeat([0, 1], 3), psu=np.arange(6))
+    with pytest.raises(DesignError, match="^X, residuals, and design must align$"):
+        meat(np.ones((rows, 2)), np.zeros(residuals), d)
+
+
 class TestMeatIndependent:
     def test_zero_residuals(self):
         d = SurveyDesign.uniform(4)

@@ -1,12 +1,15 @@
 """Weighted GLM fitting, information matrix, and sandwich variance."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
 from svyerr import families as fam
 from svyerr import fit as fit_mod
-from svyerr.design import SurveyDesign
+from svyerr.design import MeatStructure, SurveyDesign
 from svyerr.families import Family, FamilyKind, natural_to_mean
 from svyerr.fit import (
     FitError,
@@ -16,7 +19,7 @@ from svyerr.fit import (
     irls,
     sandwich_variance,
 )
-from svyerr.penalty import glm_rule, hte_bootstrap
+from svyerr.penalty import glm_rule, hte_analytic, hte_bootstrap
 
 GAUSS = Family(FamilyKind.GAUSSIAN)
 BERN = Family(FamilyKind.BERNOULLI)
@@ -200,6 +203,30 @@ class TestIrlsCore:
         A = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
         got = fit_mod._solve_rows(A, np.ones((3, 2)))
         np.testing.assert_array_equal(got, [[1.0, 1.0], [np.nan, np.nan], [0.5, 0.5]])
+
+    def test_singular_normal_equations_fail_only_their_row(self, monkeypatch):
+        X, Y, d = _outcome_block(BERN, seed=12)
+        want = irls(X, Y, BERN, d)
+        solve, calls = fit_mod._solve_rows, []
+
+        def one_nan_row(A, b):
+            out = solve(A, b)
+            if not calls:  # the first solve has every row active, in block order
+                out[3] = np.nan
+            calls.append(None)
+            return out
+
+        monkeypatch.setattr(fit_mod, "_solve_rows", one_nan_row)
+        got = irls(X, Y, BERN, d)
+        assert got.errors == [None] * 3 + ["weighted normal equations are singular"] + [None] * 8
+        assert np.isnan(got.theta[3]).all() and np.isnan(got.mu[3]).all()
+        assert got.iterations[3] == 0
+        # the other rows follow their own paths; the stacked products are one
+        # row shorter, which BLAS may round differently in the last bits
+        keep = np.arange(len(Y)) != 3
+        np.testing.assert_allclose(got.theta[keep], want.theta[keep], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.mu[keep], want.mu[keep], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got.iterations[keep], want.iterations[keep])
 
     def test_failed_rows_are_the_oracle_failures(self, monkeypatch):
         X, Y, d = _outcome_block(BERN, seed=9, m=24)
@@ -392,6 +419,12 @@ class TestFitWeightedGlm:
             f = fit_weighted_glm(X, y, BERN, SurveyDesign.uniform(n))
         assert f.separation
 
+    def test_exact_gaussian_fit_names_zero_residual_variance(self):
+        x = np.arange(20) % 2.0
+        X, y = np.column_stack([np.ones(20), x]), 1.0 - 2.0 * x
+        with pytest.raises(FitError, match="^zero residual variance: the gaussian fit is exact"):
+            fit_weighted_glm(X, y, GAUSS, SurveyDesign.uniform(20))
+
     def test_gaussian_dispersion_estimated(self):
         rng = np.random.default_rng(8)
         X, y, d = _random_instance(rng)
@@ -487,3 +520,48 @@ class TestSandwichVariance:
         sw = sandwich_variance(fit_weighted_glm(X, y, GAUSS, d))
         want = np.linalg.inv(sw.J) @ sw.VU @ np.linalg.inv(sw.J)
         np.testing.assert_allclose(sw.V, want, rtol=1e-10, atol=1e-15)
+
+    def test_singular_information_is_a_fit_error(self):
+        X = np.column_stack([np.ones(4), np.zeros(4)])
+        f = _manual_fit(GAUSS, mu=np.zeros(4), y=np.ones(4), X=X)
+        with pytest.raises(FitError, match="^information matrix is singular$"):
+            sandwich_variance(f)
+
+    def test_badly_conditioned_information_warns(self):
+        # orthogonal columns of scale 1 and 1e7: J = diag(1, 2.5e14), past COND_LIMIT
+        X = np.column_stack([np.ones(4), 1e7 * np.array([-1.0, 1.0, -2.0, 2.0])])
+        f = _manual_fit(GAUSS, mu=np.zeros(4), y=np.ones(4), X=X)
+        with pytest.warns(UserWarning, match=r"^information matrix badly conditioned \(cond=2\.50e\+14\)$"):
+            sw = sandwich_variance(f)
+        np.testing.assert_allclose(sw.J, np.diag([1.0, 2.5e14]), rtol=1e-15, atol=0)
+
+
+class TestWorkingSet:
+    def test_stratified_logistic_fit_and_penalty_peak(self):
+        # irls's docstring bounds the one-row fit by the weights, B' (p arrays
+        # of n doubles) and, while the normal matrices form, p + 2 more:
+        # 2p + 3.  The design's psu_cells and the stratified meat hold less
+        # beside the fit's weights, means and variances (design docstrings).
+        # Two arrays more for everything smaller than n leaves 2p + 5.
+        n_strata, psus, size, p = 50, 50, 20, 4
+        n = n_strata * psus * size
+        rng = np.random.default_rng(5)
+        strata = np.repeat(np.arange(n_strata), psus * size)
+        psu = np.repeat(np.arange(n_strata * psus), size)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        eta = X @ np.array([-0.5, 0.5, -0.3, 0.2]) + rng.normal(scale=0.5, size=n_strata * psus)[psu]
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        pi = rng.uniform(0.02, 0.2, size=n_strata * psus)[psu]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            d = SurveyDesign(pi=pi, strata=strata, psu=psu)
+            f = fit_weighted_glm(X, y, BERN, d)
+            report = hte_analytic(f, structure=MeatStructure.STRATIFIED_CLUSTER)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(report.daic)
+        assert peak / (8 * n) <= 2 * p + 5
