@@ -72,7 +72,10 @@ PredictionRule = Callable[[np.ndarray], np.ndarray]
 
 # bootstrap replicates per rule call: memory is O(_BLOCK * n) for any B and any
 # number of seeds; a forked worker also keeps 3 x rules x n floats per block of
-# the one seed it takes over part-way, until its chunk is done
+# the one seed it takes over part-way, until its chunk is done.  Reports are
+# byte-identical for this block layout only: irls rounds a row's products in
+# the last bits by how many rows share them, so another _BLOCK (or a replicate
+# dropped at its first solve) moves glm_rule's other replicates at 1e-16
 _BLOCK = 32
 
 
@@ -232,11 +235,31 @@ def _rule_sums(rule: PredictionRule, Y: np.ndarray, mu: np.ndarray, loss: Loss):
 
     This is the one place that maps a rule's fitted means to lambda-hat: a
     row with a NaN mean failed to train and is dropped.
+
+    Working set beside the (m, n) block Y and what the rule holds while it
+    trains: the rule's means with lambda-hat and its (m, n) threshold mask,
+    then lambda-hat with e, so at most three (m, n) doubles and one mask,
+    25 m bytes per unit, when every row trained; rows are copied only when
+    one failed.  The kNN vote itself holds three too: scipy copies Y.T to
+    C order for W @ Y.T.
+
+    Bits follow memory order: sum(axis=0) adds a C-ordered block's rows one
+    after another but an F-ordered one's, such as the kNN vote block's,
+    pairwise.  So lambda-hat e is formed in e's buffer, C-ordered like Y,
+    and sums as (lam * e).sum(0) does; lambda-hat keeps the rule's order,
+    which changes no bits, as glm_rule's means are C-ordered and the kNN
+    votes' 0-1 lambda-hat of +-1 sums exactly in any order.
     """
     lam = rule(Y)
     ok = ~np.isnan(lam).any(axis=1)
-    lam, e = fam.lambda_hat(loss, lam[ok]), Y[ok] - mu
-    return lam.sum(axis=0), e.sum(axis=0), (lam * e).sum(axis=0), int(ok.sum())
+    kept = int(ok.sum())
+    if kept < len(ok):
+        lam, Y = lam[ok], Y[ok]
+    lam = fam.lambda_hat(loss, lam)
+    e = Y - mu
+    e_sum = e.sum(axis=0)
+    e *= lam
+    return lam.sum(axis=0), e_sum, e.sum(axis=0), kept
 
 
 def _block_sums(

@@ -9,6 +9,15 @@ on outcome rows Y; the bootstrap maps them to the 0-1 loss's lambda-hat.
 ``knn_error_report`` both build their rules through it.  Votes at
 off-sample points are internal: standardize the query with
 ``_standardize``'s center and scale and pass it to ``_neighbour_weights``.
+
+Working set, in bytes per sample unit, for neighbour counts summing to
+sum(k): the neighbour weights keep 12 per neighbour, a double weight and
+an int32 column (scipy's index dtype below 2**31), so 12 sum(k) while
+the rules live; ties at the k-th distance add neighbours.  Their build
+holds 12 K beside them, K = k_max + 1 candidates and their exact squared
+distances, and the bootstrap holds 25 m per block of m replicates
+(``penalty._rule_sums``).  At n = 20,000, k = 10, 20, 30, 40 and one
+block of 32 that is about 2,240 bytes per unit, 43 MiB.
 """
 
 from __future__ import annotations
@@ -46,10 +55,17 @@ def _standardize(X, weights):
 
 
 def _squared_distances(Z_query, Z, rows, cols):
-    """Exact squared distances between Z_query[rows] and Z[cols], summed column by column."""
-    d2 = np.zeros(np.broadcast_shapes(np.shape(rows), np.shape(cols)))
+    """Exact squared distances between Z_query[rows] and Z[cols], summed column by column.
+
+    The result has the shape of ``cols``, which ``rows`` broadcasts against;
+    each column's differences are squared in the one buffer Z[cols, c].
+    """
+    d2 = np.zeros(np.shape(cols))
     for c in range(Z.shape[1]):
-        d2 += (Z_query[rows, c] - Z[cols, c]) ** 2
+        diff = Z[cols, c]
+        np.subtract(Z_query[rows, c], diff, out=diff)
+        diff *= diff
+        d2 += diff
     return d2
 
 
@@ -72,6 +88,16 @@ def _neighbour_weights(Z, weights, k_list, Z_query=None) -> dict[int, sparse.csr
     d2 <= thr, and only a k with tied rows sorts its (row, column) keys.
     This is the only user of scipy's k-d tree and CSR arrays, so the
     rest of the package loads without scipy.
+
+    Working set per query row, with K = k_max + 1: the tree's answer is
+    K int64 candidates and K distances (16 K bytes, the distances dropped
+    at once); the candidates are then held in the CSR index dtype (int32
+    below 2**31) beside their exact squared distances, 12 K.  A sorted
+    copy of the distances (8 K) lives until each k's threshold column and
+    the last column are read.  Each k's CSR takes 12 bytes per neighbour:
+    its weights, and the candidates its (row, candidate) mask picks (K
+    bytes), which are its column indices without a copy; a k with tied
+    rows keeps int64 indices.
     """
     from scipy import sparse, spatial
 
@@ -85,33 +111,38 @@ def _neighbour_weights(Z, weights, k_list, Z_query=None) -> dict[int, sparse.csr
         return {k: full for k in k_list}
     tree = spatial.cKDTree(Z)
     K = min(max(k_list, default=0) + 1, n)
+    # csr_array keeps the index dtype it is given, so holding the candidates
+    # in the one scipy picks for this size lets cand[mask] be a CSR's indices
+    idx = sparse.get_index_dtype(maxval=max(n, q * K))
     cand = tree.query(Zq, k=np.arange(1, K + 1))[1]
+    cand.sort(axis=1)  # column order; the candidates are distinct
+    cand = cand.astype(idx, copy=False)
     d2 = _squared_distances(Zq, Z, np.arange(q)[:, None], cand)
-    d2_sorted = np.sort(d2, axis=1)
-    by_col = np.argsort(cand, axis=1)  # candidates are distinct, so the order is unique
-    cand, d2 = (np.take_along_axis(a, by_col, axis=1) for a in (cand, d2))
-    del by_col
+    # each k's threshold and the farthest candidate are all the loop reads
+    ranked = np.sort(d2, axis=1)[:, [k - 1 for k in k_list] + [K - 1]]
     out = {}
-    for k in k_list:
-        kth = d2_sorted[:, k - 1]
+    for i, k in enumerate(k_list):
+        kth = ranked[:, i]
         thr = kth + 1e-12 * (1.0 + kth)
         # 1e-9 covers the tree's own rounding of the distances it ranks by
-        decided = (K == n) | (d2_sorted[:, -1] > thr * (1.0 + 1e-9))
-        # row-major, and columns ascending within each row
-        rows, j = np.nonzero((d2 <= thr[:, None]) & decided[:, None])
-        cols = cand[rows, j]
+        decided = (K == n) | (ranked[:, -1] > thr * (1.0 + 1e-9))
+        mask = (d2 <= thr[:, None]) & decided[:, None]
+        cols = cand[mask]  # row-major, and columns ascending within each row
+        counts = mask.sum(axis=1)
         tied = np.flatnonzero(~decided)
         if tied.size:
             hits = tree.query_ball_point(Zq[tied], np.sqrt(thr[tied]) * (1.0 + 1e-9))
-            counts = np.fromiter(map(len, hits), dtype=np.intp, count=tied.size)
-            t_rows = np.repeat(tied, counts)
+            t_counts = np.fromiter(map(len, hits), dtype=np.intp, count=tied.size)
+            t_rows = np.repeat(tied, t_counts)
             t_cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp,
-                                 count=int(counts.sum()))
+                                 count=int(t_counts.sum()))
             keep = _squared_distances(Zq, Z, t_rows, t_cols) <= thr[t_rows]
             # the tied rows' neighbours go back into row order by one key sort
+            rows = np.repeat(np.arange(q), counts)
             key = np.sort(np.concatenate([rows * n + cols, t_rows[keep] * n + t_cols[keep]]))
-            rows, cols = key // n, key % n
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=q))])
+            counts = np.bincount(key // n, minlength=q)
+            cols = key % n  # int64, as ties may take more than q K neighbours
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(cols.dtype)
         out[k] = sparse.csr_array((weights[cols], cols, indptr), shape=(q, n))
     return out
 
@@ -121,7 +152,9 @@ def _vote_rule(W: sparse.csr_array) -> pen.PredictionRule:
     wsums = W.sum(axis=1)
 
     def train(Y):
-        return (W @ np.asarray(Y, dtype=float).T).T / wsums
+        votes = W @ np.asarray(Y, dtype=float).T
+        votes /= wsums[:, None]
+        return votes.T
 
     return train
 

@@ -171,6 +171,12 @@ class TestMeanToNatural:
         with pytest.raises(DomainError):
             mean_to_natural(POIS, 0.0)
 
+    @pytest.mark.parametrize("family", [GAUSS, BERN, POIS])
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, family, mu):
+        with pytest.raises(DomainError, match="^mean must be finite$"):
+            mean_to_natural(family, np.array([0.5, mu]))
+
 
 class TestVariance:
     def test_bernoulli_maximum(self):

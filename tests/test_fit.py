@@ -271,6 +271,12 @@ class TestIrlsCore:
 
 
 class TestFitWeightedGlm:
+    @pytest.mark.parametrize("x_cut, y_cut, d_cut", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    def test_mismatched_lengths_rejected(self, x_cut, y_cut, d_cut):
+        X, y, d = _random_instance(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^X, y, and design must have matching lengths$"):
+            fit_weighted_glm(X[x_cut:], y[y_cut:], GAUSS, SurveyDesign(weights=d.weights[d_cut:]))
+
     def test_gaussian_uniform_matches_ols(self):
         rng = np.random.default_rng(0)
         X, y, _ = _random_instance(rng)

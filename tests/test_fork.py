@@ -67,6 +67,15 @@ class TestWorkerCount:
     def test_unpinned_blas_stays_serial(self):
         assert _fork.worker_count(100) == 1
 
+    @pytest.mark.parametrize("cpu_count, workers", [(6, 6), (None, 1)])
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch, cpu_count, workers):
+        # a platform without sched_getaffinity counts every CPU, and one
+        # whose CPU count is unknown counts one
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert _fork.worker_count(100) == workers
+
     @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
     @pytest.mark.parametrize("threads, workers", [("1", 4), ("2", 2), ("3", 1), ("8", 1)])
     def test_cpus_divided_by_blas_threads(self, monkeypatch, var, threads, workers):

@@ -419,6 +419,51 @@ class TestHteBootstrap:
                           B=1, seed=0, loss=SQERR)
 
 
+class TestRuleSums:
+    """``_rule_sums`` keeps the bits of its plain form on the rows that trained.
+
+    numpy sums the rows of a C-order block one after another but the
+    columns of an F-order block pairwise, and the kNN vote block is
+    F-order, so the form of each product decides the last bits.
+    """
+
+    @staticmethod
+    def _plain(rule, Y, mu, loss):
+        lam = rule(Y)
+        ok = ~np.isnan(lam).any(axis=1)
+        lam, e = fam.lambda_hat(loss, lam[ok]), Y[ok] - mu
+        return lam.sum(axis=0), e.sum(axis=0), (lam * e).sum(axis=0), int(ok.sum())
+
+    @pytest.mark.parametrize("failing_row", [None, 5])
+    @pytest.mark.parametrize("kind", ["knn", "glm"])
+    def test_sums_equal_the_plain_form(self, kind, failing_row):
+        n = 400
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(n, 2))
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X[:, 0] - X[:, 1])))).astype(float)
+        d = SurveyDesign(weights=1.0 / rng.uniform(0.1, 1.0, size=n))
+        X1 = np.column_stack([np.ones(n), X])
+        gen = fit_weighted_glm(X1, y, BERN, d)
+        Y = np.stack([fam._draw_responses(np.random.default_rng([4, b]), BERN, gen.mu)
+                      for b in range(pen._BLOCK)])
+        if kind == "knn":
+            inner, loss = rules.knn_rule(X, d, 15), Loss(LossKind.ZERO_ONE)
+            assert inner(Y).flags.f_contiguous
+        else:
+            inner, loss = glm_rule(X1, d, BERN), Loss(LossKind.DEVIANCE, BERN)
+
+        def rule(Y_):
+            mu = inner(Y_)
+            if failing_row is not None:
+                mu[failing_row] = np.nan
+            return mu
+
+        got, want = pen._rule_sums(rule, Y, gen.mu, loss), self._plain(rule, Y, gen.mu, loss)
+        assert got[3] == want[3] == pen._BLOCK - (failing_row is not None)
+        for g, w in zip(got[:3], want[:3]):
+            assert np.array_equal(g, w)
+
+
 def _report_hex(report):
     return {k: v.hex() if isinstance(v, float) else v for k, v in report.to_dict().items()}
 

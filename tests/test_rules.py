@@ -1,5 +1,6 @@
 """Design-weighted kNN classification and its bootstrap error table."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,32 @@ def test_knn_rule_memory_is_not_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+class TestWorkingSet:
+    def test_knn_error_report_peak(self):
+        # bound from the rules and penalty docstrings, in bytes per unit: the
+        # neighbour weights keep 12 per neighbour, 12 sum(k); a block of m
+        # replicates adds three (m, n) doubles and an (m, n) mask, 25 m; each
+        # rule keeps its running sums, base fit and vote totals, 40 per rule;
+        # 32 doubles more cover the covariates, the generating fit and the
+        # rest.  The neighbour build's own peak, 12 K + 12 sum(k) + K with
+        # K = k_max + 1, stays below that here.
+        n, ks, B = 20_000, [10, 20, 30, 40], 32  # one block of 32 replicates
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(n, 2))
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X[:, 0] + 0.5 * X[:, 1])))).astype(float)
+        d = SurveyDesign(weights=1.0 / rng.uniform(0.1, 1.0, size=n))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reports = knn_error_report(X, y, d, ks, B=B, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert [k for k, _ in reports] == ks
+        assert peak / n <= 12 * sum(ks) + 25 * min(B, penalty._BLOCK) + 40 * len(ks) + 8 * 32
 
 
 class TestKnnTrain:

@@ -231,6 +231,11 @@ class TestDrawSample:
 
 
 class TestRunOptimismExperiment:
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_rejects_fewer_than_one_replicate(self, reps):
+        with pytest.raises(ValueError, match="^reps must be at least 1$"):
+            run_optimism_experiment(ScenarioSpec(id="s1", pop_size=5000, sample_size=200), reps=reps, seed=0)
+
     def test_single_replicate_aggregates_equal_record(self):
         spec = ScenarioSpec(id="s1", pop_size=5000, sample_size=200)
         summary = run_optimism_experiment(spec, reps=1, seed=0)
@@ -263,6 +268,13 @@ class TestRunOptimismExperiment:
             opt = summary.column("optimism")
             iqr = lambda v: np.subtract(*np.percentile(v, [75, 25]))
             assert iqr(omega) < iqr(opt)
+
+
+@pytest.mark.parametrize("field", ["prevalence", "case_fraction"])
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.2, 1.5])
+def test_case_control_fractions_must_lie_in_the_open_unit_interval(field, value):
+    with pytest.raises(ValueError, match=r"^fractions must lie in \(0, 1\)$"):
+        CaseControlSpec(**{field: value})
 
 
 class TestRunRelativeErrorExperiment:
