@@ -264,19 +264,12 @@ def irls(X, Y, family: Family, design: SurveyDesign, *, _basis=None) -> IrlsBloc
     return IrlsBlock(theta=out_theta, mu=out_mu, iterations=iterations, errors=errors)
 
 
-def fit_weighted_glm(
-    X,
-    y,
-    family: Family,
-    design: SurveyDesign,
-    estimate_dispersion: bool = True,
-) -> GlmFit:
+def fit_weighted_glm(X, y, family: Family, design: SurveyDesign) -> GlmFit:
     """Fit a canonical-link GLM by HT-weighted IRLS (:func:`irls` on one row).
 
     For gaussian outcomes the dispersion is re-estimated after the fit as
-    the HT-weighted mean squared residual (divisor sum of weights) unless
-    ``estimate_dispersion`` is False; an exact fit, whose estimate is 0,
-    raises FitError.
+    the HT-weighted mean squared residual (divisor sum of weights); an
+    exact fit, whose estimate is 0, raises FitError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -302,7 +295,7 @@ def fit_weighted_glm(
         warnings.warn("linear predictor hit the saturation clamp (possible separation)")
 
     fitted_family = family
-    if family.kind is FamilyKind.GAUSSIAN and estimate_dispersion:
+    if family.kind is FamilyKind.GAUSSIAN:
         sigma2 = float(design.weights @ (y - mu) ** 2 / design.weights.sum())
         if sigma2 == 0.0:  # the information and the meat would divide by it
             raise FitError("zero residual variance: the gaussian fit is exact, so its dispersion cannot be estimated")

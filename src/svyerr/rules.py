@@ -10,6 +10,9 @@ on outcome rows Y; the bootstrap maps them to the 0-1 loss's lambda-hat.
 off-sample points are internal: standardize the query with
 ``_standardize``'s center and scale and pass it to ``_neighbour_weights``.
 
+Covariates follow the generating GLM's rule: a non-finite or constant
+column of X is rejected, not dropped, before any neighbour query or fit.
+
 Working set, in bytes per sample unit, for neighbour counts summing to
 sum(k): the neighbour weights keep 12 per neighbour, a double weight and
 an int32 column (scipy's index dtype below 2**31), so 12 sum(k) while
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,17 +43,20 @@ __all__ = ["knn_rule", "knn_error_report"]
 
 
 def _standardize(X, weights):
-    """Weighted z-scores of X's non-constant columns: (Z, center, scale, kept columns)."""
+    """Weighted z-scores of X's columns: (Z, center, scale).
+
+    A column without weighted spread, whose SD is at most 1e-12 of its
+    center's magnitude (or of 1), raises ValueError naming its index in X.
+    """
     wsum = weights.sum()
     center = (weights[:, None] * X).sum(axis=0) / wsum
     var = (weights[:, None] * (X - center) ** 2).sum(axis=0) / wsum
     scale = np.sqrt(var)
     # a constant column keeps a rounding-level SD when its weighted mean is inexact
-    kept = scale > 1e-12 * np.maximum(np.abs(center), 1.0)
-    if not np.all(kept):
-        warnings.warn(f"dropping {int((~kept).sum())} zero-variance column(s)")
-    kept = np.flatnonzero(kept)
-    return (X[:, kept] - center[kept]) / scale[kept], center, scale, kept
+    flat = np.flatnonzero(scale <= 1e-12 * np.maximum(np.abs(center), 1.0))
+    if flat.size:
+        raise ValueError(f"X column {flat[0]} is constant: it has no weighted spread")
+    return (X - center) / scale, center, scale
 
 
 def _squared_distances(Z_query, Z, rows, cols):
@@ -102,13 +107,7 @@ def _neighbour_weights(Z, weights, k_list, Z_query=None) -> dict[int, sparse.csr
     from scipy import sparse, spatial
 
     Zq = Z if Z_query is None else Z_query
-    (n, p), q = Z.shape, Zq.shape[0]
-    if p == 0:  # no coordinates left: all distances are 0, so all n points tie
-        full = sparse.csr_array(
-            (np.tile(weights, q), np.tile(np.arange(n), q), np.arange(0, q * n + 1, n)),
-            shape=(q, n),
-        )
-        return {k: full for k in k_list}
+    n, q = Z.shape[0], Zq.shape[0]
     tree = spatial.cKDTree(Z)
     K = min(max(k_list, default=0) + 1, n)
     # csr_array keeps the index dtype it is given, so holding the candidates
@@ -162,8 +161,9 @@ def _vote_rule(W: sparse.csr_array) -> pen.PredictionRule:
 def _vote_rules(X, design: SurveyDesign, k_list) -> list[pen.PredictionRule]:
     """One in-sample vote rule per neighbour count, in the order of ``k_list``.
 
-    X must be 2-D with one row per unit of the design, each k an integer
-    in [1, n], and no k may repeat; the checks run before any work.  X is
+    X must be 2-D with one row per unit of the design, finite, and with
+    weighted spread in every column; each k must be an integer in [1, n],
+    and no k may repeat.  The checks run before any work.  X is
     standardized once and one neighbour query serves every k.  The
     neighbour structure depends only on X, so each rule reuses it when the
     bootstrap retrains on blocks of outcome rows.
@@ -181,6 +181,9 @@ def _vote_rules(X, design: SurveyDesign, k_list) -> list[pen.PredictionRule]:
             raise ValueError(f"k must lie in [1, n={n}], got {k}")
     if len(set(k_list)) != len(k_list):
         raise ValueError(f"repeated neighbour count in {list(k_list)}")
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"X column {np.flatnonzero(~finite)[0]} holds a NaN or inf")
     W = _neighbour_weights(_standardize(X, design.weights)[0], design.weights, k_list)
     return [_vote_rule(W[k]) for k in k_list]
 
@@ -197,10 +200,11 @@ def knn_error_report(
 
     One weighted logistic fit generates the bootstrap outcomes for every k;
     it needs an intercept the distance-based rule itself does not carry.
-    The k list is checked before that fit.  One neighbour query serves
-    every k, and each bootstrap block is drawn once and voted through every
-    k's neighbour weights; each k's report equals ``penalty.hte_bootstrap``
-    on ``knn_rule(X, design, k)`` bit for bit.
+    X and the k list are checked before that fit and any neighbour query.
+    One neighbour query serves every k, and each bootstrap block is drawn
+    once and voted through every k's neighbour weights; each k's report
+    equals ``penalty.hte_bootstrap`` on ``knn_rule(X, design, k)`` bit for
+    bit.
     """
     X = np.asarray(X, dtype=float)
     rules = _vote_rules(X, design, k_list)

@@ -648,6 +648,23 @@ class TestCmdKnn:
         assert code == 3
         assert f"k must lie in [1, n=30], got {k}" in capsys.readouterr().err
 
+    def test_constant_covariate_numeric_exit(self, tmp_path, capsys):
+        # the constant covariate is the second named, so X's column 1
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=30)
+        y = (rng.random(30) < 0.5).astype(float)
+        path = tmp_path / "d.csv"
+        _write_csv(path, ["y", "x", "c", "w"],
+                   np.column_stack([y, x, np.full(30, 2.0), np.ones(30)]).tolist())
+        code = main([
+            "knn", "--data", str(path), "--outcome", "y", "--covariates", "x", "c",
+            "--weights", "w", "--k", "5", "--B", "10", "--seed", "2",
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numerical error: X column 1 is constant: it has no weighted spread\n"
+        assert captured.out == ""
+
     def test_repeated_k_schema_exit(self, logistic_csv, capsys):
         code = main([
             "knn", "--data", logistic_csv, "--outcome", "y", "--covariates", "x1",

@@ -60,8 +60,8 @@ def _assert_same_csr(got, want):
 
 def _standardized_query(X, weights, query):
     """The sample's z-scores and the query in the same coordinates (the sample's center and scale)."""
-    Z, center, scale, kept = _standardize(X, weights)
-    return Z, (query[:, kept] - center[kept]) / scale[kept]
+    Z, center, scale = _standardize(X, weights)
+    return Z, (query - center) / scale
 
 
 def _neighbour_case(kind, n=40):
@@ -97,7 +97,7 @@ def test_neighbour_weights_match_loop_oracle(kind, k):
 
 
 TREE_CASES = ("continuous", "integer_grid", "duplicate_rows",
-              "one_column", "one_column_grid", "zero_columns")
+              "one_column", "one_column_grid")
 
 
 def _tree_case(kind, rng):
@@ -114,16 +114,12 @@ def _tree_case(kind, rng):
         return np.concatenate([X, X[:40], X[:10]]), query
     if kind == "one_column":
         return rng.normal(size=(120, 1)), rng.normal(size=(25, 1))
-    if kind == "one_column_grid":
-        X = rng.integers(0, 4, size=(120, 1)).astype(float)
-        return X, rng.integers(0, 7, size=(25, 1)) / 2.0
-    X = np.zeros((120, 2))  # zero_columns: every column has zero variance
-    return X, rng.normal(size=(25, 2))
+    X = rng.integers(0, 4, size=(120, 1)).astype(float)  # one_column_grid
+    return X, rng.integers(0, 7, size=(25, 1)) / 2.0
 
 
 @pytest.mark.parametrize("k_list", [[1, 7, 30], [1, 119], [1, 120], [60, 120]])
 @pytest.mark.parametrize("kind", TREE_CASES)
-@pytest.mark.filterwarnings("ignore:dropping")
 def test_tree_neighbour_weights_equal_dense_oracle(kind, k_list):
     # k_list [1, 119] queries all n candidates (k_max + 1 = n); [1, 120] asks for n + 1
     rng = np.random.default_rng(TREE_CASES.index(kind))
@@ -132,8 +128,6 @@ def test_tree_neighbour_weights_equal_dense_oracle(kind, k_list):
     d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n))
     y = (rng.random(n) < 0.5).astype(float)
     Z, Z_query = _standardized_query(X, d.weights, query)
-    kept = {"one_column": 1, "one_column_grid": 1, "zero_columns": 0}.get(kind, X.shape[1])
-    assert Z.shape[1] == kept
     for Zq in (None, Z_query):
         W = _neighbour_weights(Z, d.weights, k_list, Zq)
         assert list(W) == k_list
@@ -185,6 +179,25 @@ class TestWorkingSet:
         assert [k for k, _ in reports] == ks
         assert peak / n <= 12 * sum(ks) + 25 * min(B, penalty._BLOCK) + 40 * len(ks) + 8 * 32
 
+    def test_constant_covariate_rejected_in_constant_memory(self):
+        # with X's one column constant every distance is 0, so every unit ties
+        # with every other: a neighbour build would hold n^2 weights before the
+        # generating fit failed as rank deficient.  The check fails first.
+        n = 4_000
+        rng = np.random.default_rng(21)
+        X = np.full((n, 1), 1.0)
+        y = (rng.random(n) < 0.5).astype(float)
+        d = SurveyDesign(weights=1.0 / rng.uniform(0.1, 1.0, size=n))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="X column 0 is constant"):
+                knn_error_report(X, y, d, [10, 20, 30, 40], B=32, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestKnnTrain:
     """Building the in-sample vote rule: k checks, standardization, neighbour sets."""
@@ -220,45 +233,37 @@ class TestKnnTrain:
             knn_error_report(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 0.5, 1.0]),
                              SurveyDesign.uniform(3), [1], B=5, seed=0)
 
-    def test_zero_variance_column_dropped(self):
+    def test_zero_variance_column_rejected(self):
         rng = np.random.default_rng(3)
         X, y, d = _binary_data(rng, n=20)
         X_aug = np.column_stack([X, np.full(20, 7.0)])
-        with pytest.warns(UserWarning, match="zero-variance"):
-            rule = knn_rule(X_aug, d, k=3)
-        np.testing.assert_allclose(rule(y[None]), knn_rule(X, d, k=3)(y[None]))
+        with pytest.raises(ValueError, match="X column 2 is constant"):
+            knn_rule(X_aug, d, k=3)
 
-    def test_constant_column_with_inexact_weighted_mean_dropped(self):
+    def test_constant_column_with_inexact_weighted_mean_rejected(self):
         # random weights leave the weighted mean of 7.0 a rounding error off
-        # 7.0, so the column's SD is tiny but not zero; it must still drop
+        # 7.0, so the column's SD is tiny but not zero; it must still count
+        # as constant
         rng = np.random.default_rng(13)
         X, y, d = _binary_data(rng, n=20)
-        X_aug = np.column_stack([X, np.full(20, 7.0)])
-        query = np.array([[0.3, -0.2, 7.5], [-1.0, 0.8, 7.5]])
-        with pytest.warns(UserWarning, match="dropping 1 zero-variance"):
-            np.testing.assert_array_equal(_standardize(X_aug, d.weights)[3], [0, 1])
-            Z, Z_query = _standardized_query(X_aug, d.weights, query)
-            rule = knn_rule(X_aug, d, k=3)
-        Z_base, Z_query_base = _standardized_query(X, d.weights, query[:, :2])
-        np.testing.assert_array_equal(Z, Z_base)
-        np.testing.assert_array_equal(Z_query, Z_query_base)
-        np.testing.assert_array_equal(rule(y[None]), knn_rule(X, d, k=3)(y[None]))
+        X_aug = np.column_stack([np.full(20, 7.0), X])
+        w = d.weights
+        center = (w * X_aug[:, 0]).sum() / w.sum()
+        assert 0.0 < (w * (X_aug[:, 0] - center) ** 2).sum() / w.sum() < 1e-24
+        with pytest.raises(ValueError, match="X column 0 is constant"):
+            _standardize(X_aug, w)
+        with pytest.raises(ValueError, match="X column 0 is constant"):
+            knn_rule(X_aug, d, k=3)
 
-    def test_all_columns_dropped_every_point_is_a_neighbour(self):
-        # with no column left every distance is zero, so all n points tie
-        # at the k-th distance and each vote is the weighted mean outcome
+    def test_all_columns_constant_rejected(self):
+        # the GLM that generates the bootstrap outcomes cannot fit a constant
+        # covariate beside its intercept, so kNN rejects it too
         rng = np.random.default_rng(11)
         _, y, d = _binary_data(rng, n=20)
-        X = np.zeros((20, 2))  # weighted mean exactly 0, so variance exactly 0
-        majority = float(d.weights @ y) / d.weights.sum()
-        with pytest.warns(UserWarning, match="dropping 2 zero-variance"):
-            Z, Z_query = _standardized_query(X, d.weights, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert Z.shape == (20, 0) and Z_query.shape == (2, 0)
-        W = _neighbour_weights(Z, d.weights, [3], Z_query)[3]
-        np.testing.assert_allclose((W @ y) / W.sum(axis=1), majority, rtol=0, atol=1e-12)
-        with pytest.warns(UserWarning, match="zero-variance"):
-            rule = knn_rule(X, d, k=3)
-        np.testing.assert_allclose(rule(y[None])[0], majority, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="X column 0 is constant"):
+            knn_rule(np.zeros((20, 2)), d, k=3)
+        with pytest.raises(ValueError, match="X column 0 is constant"):
+            knn_error_report(np.zeros((20, 2)), y, d, [3], B=5, seed=0)
 
 
 class TestKnnPredict:
@@ -370,6 +375,29 @@ class TestKnnErrorReport:
         if len(k_list) == 1:
             with pytest.raises(ValueError, match=match):
                 knn_rule(X, d, k_list[0])
+
+    @pytest.mark.parametrize("value, match", [
+        (7.0, "X column 1 is constant"), (np.nan, "X column 1 holds a NaN or inf"),
+        (np.inf, "X column 1 holds a NaN or inf"), (-np.inf, "X column 1 holds a NaN or inf"),
+    ], ids=["constant", "nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("entry", ["knn_rule", "knn_error_report"])
+    def test_bad_covariate_rejected_before_any_work(self, monkeypatch, entry, value, match):
+        def no_work(*args, **kwargs):
+            raise AssertionError("neighbours were queried or the generating model was fitted")
+
+        monkeypatch.setattr(rules, "_neighbour_weights", no_work)
+        monkeypatch.setattr(rules, "fit_weighted_glm", no_work)
+        rng = np.random.default_rng(20)
+        X, y, d = _binary_data(rng, n=30, p=3)
+        if np.isfinite(value):
+            X[:, 1] = value
+        else:
+            X[4, 1] = value
+        with pytest.raises(ValueError, match=match):
+            if entry == "knn_rule":
+                knn_rule(X, d, 3)
+            else:
+                knn_error_report(X, y, d, [3, 5], B=5, seed=0)
 
     @pytest.mark.parametrize("shape, k", [((20,), 3), ((20,), 1), ((25, 2), 3)],
                              ids=["1d", "1d_k1", "extra_rows"])
