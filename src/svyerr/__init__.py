@@ -5,6 +5,6 @@ from .families import Family, FamilyKind, Loss, LossKind, lambda_hat, loss_q, me
 from .fit import GlmFit, SandwichVariance, fit_weighted_glm, information_J, sandwich_variance
 from .penalty import PenaltyReport, aic_naive, estimate_dispersion, hte_analytic, hte_bootstrap, in_sample_error
 from .rules import knn_error_report
-from .simulate import CaseControlSpec, ScenarioSpec, draw_sample, generate_population, run_optimism_experiment, run_relative_error_experiment
+from .simulate import ScenarioSpec, draw_sample, generate_population, run_optimism_experiment
 
 __version__ = "0.1.0"

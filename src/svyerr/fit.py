@@ -93,9 +93,10 @@ def _solve_basis(X, w) -> tuple[np.ndarray, np.ndarray]:
     One thin SVD before the iterations, sqrt(W) X = U S V', raises
     FitError when sqrt(W) X is numerically rank deficient: its smallest
     singular value is at most max(n, p) eps times its largest, the
-    tolerance of numpy.linalg.matrix_rank.  The error names the column
-    that loads most on the last right singular vector.  The IRLS weights
-    w * v only rescale rows by positive factors, so the rank and the
+    tolerance of numpy.linalg.matrix_rank.  The error names the last
+    column loading on the last right singular vector (above 1e-8 of its
+    largest loading), a combination of the columns before it.  The IRLS
+    weights w * v only rescale rows by positive factors, so the rank and the
     conditioning are decided by X and w.  Normal equations in X square
     the condition of sqrt(W) X and fail on near-collinear covariates; in
     B = U / sqrt(w), M = V S^-1 the normal matrix B' W V B = U' V U is
@@ -113,7 +114,8 @@ def _solve_basis(X, w) -> tuple[np.ndarray, np.ndarray]:
         raise FitError(f"design matrix SVD failed: {exc}") from None
     del A  # sqrt(W) X is not read again: it goes before B' is formed
     if s.size and s[-1] <= s[0] * max(X.shape) * np.finfo(float).eps:
-        bad = int(np.argmax(np.abs(vt[-1])))
+        v = np.abs(vt[-1])
+        bad = int(np.flatnonzero(v > 1e-8 * v.max())[-1])
         raise FitError(f"design matrix is rank deficient (column {bad})")
     # B' in one pass, in contiguous rows, which make the stacked products fast
     return np.divide(u.T, sw, order="C"), vt.T / s

@@ -1,11 +1,13 @@
 """Monte Carlo studies of the HT-weighted covariance penalty.
 
 Generates finite populations under the eight benchmark scenarios, draws
-fixed-size PPS samples without replacement, and runs the optimism and
-HTE-versus-naive-AIC experiments with per-replicate seed streams so the
-results are reproducible regardless of execution order.  The replicates
-run on forked workers where the first one's measured time says that
-pays (``_map_replicates``, through ``svyerr._fork.timed``, the rule the
+fixed-size PPS samples without replacement, and runs the optimism
+experiment with per-replicate seed streams so the results are
+reproducible regardless of execution order.  Acceptance criterion 10's
+case-control experiment is test code that reuses the replicate step,
+failure rule, fan-out and workspace below.  The replicates run on forked
+workers where the first one's measured time says that pays
+(``_map_replicates``, through ``svyerr._fork.timed``, the rule the
 parametric bootstrap also uses), and each chunk of them reuses one
 :class:`Workspace` of population-sized arrays.
 """
@@ -13,7 +15,6 @@ parametric bootstrap also uses), and each chunk of them reuses one
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +29,11 @@ from .fit import FitError, fit_weighted_glm
 __all__ = [
     "ScenarioSpec",
     "ExperimentSummary",
-    "CaseControlSpec",
     "SCENARIO_IDS",
     "Workspace",
     "generate_population",
     "draw_sample",
     "run_optimism_experiment",
-    "run_relative_error_experiment",
 ]
 
 SCENARIO_IDS = (
@@ -95,20 +94,6 @@ class ExperimentSummary:
                 "q975": float(np.quantile(col, 0.975)),
             }
         return out
-
-
-@dataclass(frozen=True)
-class CaseControlSpec:
-    """High-risk oversampling scheme for the HTE-versus-AIC comparison."""
-
-    prevalence: float = 1.0 / 200.0
-    case_fraction: float = 0.20
-    sample_size: int = 1_000
-
-    def __post_init__(self) -> None:
-        for v in (self.prevalence, self.case_fraction):
-            if not 0.0 < v < 1.0:
-                raise ValueError("fractions must lie in (0, 1)")
 
 
 class Workspace:
@@ -226,8 +211,8 @@ def draw_sample(
 
 
 def _fit_replicate(x_s, y_s, family: Family, design: SurveyDesign, loss: Loss):
-    """Both experiments' replicate step: the design-weighted fit of [1, x], its
-    analytic HTE report under ``loss``, and the uniform-weight fit's naive AIC.
+    """One replicate's fits: the design-weighted fit of [1, x], its analytic
+    HTE report under ``loss``, and the uniform-weight fit's naive AIC.
     """
     X = np.column_stack([np.ones(len(x_s)), x_s])
     f = fit_weighted_glm(X, y_s, family, design)
@@ -237,7 +222,7 @@ def _fit_replicate(x_s, y_s, family: Family, design: SurveyDesign, loss: Loss):
 
 
 def _check_failures(failures: int, reps: int) -> None:
-    """Both experiments' failure rule: at most max(1, 1% of reps) failed fits, and one kept."""
+    """The experiments' failure rule: at most max(1, 1% of reps) failed fits, and one kept."""
     if failures > max(1, 0.01 * reps) or failures == reps:
         raise FitError(f"{failures}/{reps} replicates failed to fit")
 
@@ -314,116 +299,3 @@ def run_optimism_experiment(spec: ScenarioSpec, reps: int, seed: int) -> Experim
     kept = [r for r in records if r is not None]
     _check_failures(reps - len(kept), reps)
     return ExperimentSummary(scenario=spec.id, records=kept)
-
-
-def _case_control_pop_size(cc: CaseControlSpec) -> int:
-    n = cc.sample_size
-    return int(max(10 * n, math.ceil(0.4 * n / cc.prevalence)))
-
-
-def _case_control_population(cc: CaseControlSpec, rng: np.random.Generator, ws: Workspace):
-    """Population (X, y, case indicator) with the requested case prevalence.
-
-    X and y are views of ``ws``'s "x" and "y" arrays, and the event
-    probabilities are formed in its "p" array.
-    """
-    from scipy import optimize, special
-
-    N = _case_control_pop_size(cc)
-    x = rng.standard_normal(out=ws.array("x", N))
-    p = ws.array("p", N)
-
-    def event_prob(a):  # expit(a + x), in p
-        return special.expit(np.add(x, a, out=p), out=p)
-
-    # intercept tuned so the realized event rate matches the prevalence
-    a = optimize.brentq(lambda a: event_prob(a).mean() - cc.prevalence, -40.0, 10.0)
-    y = rng.random(out=ws.array("y", N))
-    np.less(y, event_prob(a), out=y)
-    return x, y, y == 1.0
-
-
-def _case_control_draw(cases: np.ndarray, n: int, frac: float, rng: np.random.Generator):
-    """Fixed-size SRS within cases and controls; returns (indices, design)."""
-    case_idx = np.flatnonzero(cases)
-    ctrl_idx = np.flatnonzero(~cases)
-    n_case = min(int(round(frac * n)), len(case_idx))
-    n_ctrl = n - n_case
-    pick_c = rng.choice(case_idx, size=n_case, replace=False)
-    pick_0 = rng.choice(ctrl_idx, size=n_ctrl, replace=False)
-    idx = np.concatenate([pick_c, pick_0])
-    pi = np.concatenate(
-        [
-            np.full(n_case, n_case / len(case_idx)),
-            np.full(n_ctrl, n_ctrl / len(ctrl_idx)),
-        ]
-    )
-    design = SurveyDesign(pi=pi, pop_size=float(len(cases)))
-    return idx, design
-
-
-def _mc_se(v: np.ndarray) -> float:
-    """Monte Carlo standard error of the mean of ``v``."""
-    return float(v.std(ddof=1) / math.sqrt(len(v)))
-
-
-def _case_control_replicate(cc: CaseControlSpec, seed: int, cell: int, rep: int, ws: Workspace):
-    """One case-control replicate's relative errors (HTE, naive AIC), or None when a fit fails.
-
-    True error is the deviance on the unsampled part of the population,
-    which ``ws`` holds.
-    """
-    family = Family(FamilyKind.BERNOULLI)
-    loss = Loss(LossKind.DEVIANCE, family)
-    rng = np.random.default_rng([seed, cell, rep])
-    x, y, cases = _case_control_population(cc, rng, ws)
-    idx, design = _case_control_draw(cases, cc.sample_size, cc.case_fraction, rng)
-    try:
-        f, report, naive = _fit_replicate(x[idx], y[idx], family, design, loss)
-    except FitError:
-        return None
-    rest = np.ones(len(x), dtype=bool)
-    rest[idx] = False
-    mu_rest = fam.natural_to_mean(family, f.theta[0] + f.theta[1] * x[rest])
-    err_true = float(np.mean(fam.loss_q(loss, y[rest], mu_rest)))
-    return abs(report.err_hat - err_true) / err_true, abs(naive - err_true) / err_true
-
-
-def run_relative_error_experiment(
-    cc: CaseControlSpec, grid: dict, reps: int, seed: int
-) -> list[dict]:
-    """Mean relative estimation error of HTE and naive AIC for logistic fits.
-
-    ``grid`` maps one field of ``cc`` ("sample_size" or "prevalence") to
-    the values to sweep.  True error is the deviance on the unsampled part
-    of the finite population; each cell reports the two mean relative
-    errors, their ratio (HTE / AIC, below 1 when HTE is closer), and the
-    Monte Carlo standard errors of both means and of their paired
-    difference.
-    """
-    (key, values), = grid.items()
-    specs = [CaseControlSpec(**{**cc.__dict__, key: value}) for value in values]
-    tasks = [(spec, seed, cell, rep) for cell, spec in enumerate(specs) for rep in range(reps)]
-    import scipy.optimize  # noqa: F401  (loaded once here, not in each forked worker)
-    import scipy.special  # noqa: F401
-    results = _map_replicates(
-        _case_control_replicate, tasks, [_case_control_pop_size(t[0]) for t in tasks]
-    )
-    rows = []
-    for cell, value in enumerate(values):
-        kept = [r for r in results[cell * reps:(cell + 1) * reps] if r is not None]
-        _check_failures(reps - len(kept), reps)
-        hte, aic = map(np.array, zip(*kept))
-        rows.append(
-            {
-                key: value,
-                "reps": len(hte),
-                "rel_err_hte": float(hte.mean()),
-                "rel_err_aic": float(aic.mean()),
-                "ratio": float(hte.mean() / aic.mean()),
-                "mc_se_hte": _mc_se(hte),
-                "mc_se_aic": _mc_se(aic),
-                "mc_se_diff": _mc_se(hte - aic),
-            }
-        )
-    return rows

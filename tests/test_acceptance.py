@@ -21,14 +21,9 @@ from svyerr.penalty import (
     hte_bootstrap,
 )
 from svyerr.rules import _neighbour_weights, _standardize, knn_error_report
-from svyerr.simulate import (
-    CaseControlSpec,
-    ScenarioSpec,
-    run_optimism_experiment,
-    run_relative_error_experiment,
-)
+from svyerr.simulate import ScenarioSpec, run_optimism_experiment
 from test_rules import _dense_neighbour_weights
-from test_simulate import brute_force_optimism
+from test_simulate import brute_force_optimism, run_relative_error_experiment
 
 GAUSS = Family(FamilyKind.GAUSSIAN)
 BERN = Family(FamilyKind.BERNOULLI)
@@ -217,12 +212,7 @@ def test_criterion_9_bootstrap_matches_analytic_on_weighted_logistic():
 
 
 def test_criterion_10_outperforms_naive_criterion_for_small_oversampled_studies():
-    rows = run_relative_error_experiment(
-        CaseControlSpec(),
-        {"sample_size": [50, 500, 5_000]},
-        reps=100,
-        seed=SEED,
-    )
+    rows = run_relative_error_experiment([50, 500, 5_000], reps=100, seed=SEED)
     ratios = [r["ratio"] for r in rows]
     small = rows[0]
     ok = (

@@ -85,9 +85,11 @@ print(json.dumps(loaded))
 """
 
 
-def test_scipy_loads_only_for_knn(tmp_path):
+def test_scipy_loads_only_where_a_command_needs_it(tmp_path):
     # a fresh process, since the test session itself may hold scipy already;
-    # asserts on the loaded modules, not on import time
+    # asserts on the loaded modules, not on import time.  The bernoulli
+    # scenarios draw outcomes through scipy.special.ndtr, and nothing in
+    # svyerr reaches scipy.optimize
     rng = np.random.default_rng(4)
     n = 120
     x = rng.normal(size=n)
@@ -108,6 +110,9 @@ def test_scipy_loads_only_for_knn(tmp_path):
         ("fit_bernoulli_bootstrap",
          ["fit", *data, "--outcome", "bern", "--family", "bernoulli", "--method", "hte-bootstrap",
           "--B", "10", "--interval-runs", "2"]),
+        *((f"simulate_{scenario}", ["simulate", "--scenario", scenario, "--pop", "2000",
+                                    "--n", "100", "--reps", "2", "--seed", "1"])
+          for scenario in ("s1", "s2_bern")),
         ("knn", ["knn", *data, "--outcome", "bern", "--k", "5", "--B", "10"]),
     ]
     src = str(Path(svyerr.__file__).resolve().parents[1])
@@ -117,7 +122,10 @@ def test_scipy_loads_only_for_knn(tmp_path):
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    for name in ("import", "fit_gaussian_analytic", "fit_bernoulli_bootstrap"):
+    for name in ("import", "fit_gaussian_analytic", "fit_bernoulli_bootstrap", "simulate_s1"):
         assert loaded[name] == [0, []], name
+    code, modules = loaded["simulate_s2_bern"]
+    assert code == 0 and "scipy.special" in modules
+    assert not [m for m in modules if m.startswith("scipy.optimize")]
     code, modules = loaded["knn"]
     assert code == 0 and "scipy.spatial" in modules and "scipy.sparse" in modules

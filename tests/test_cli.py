@@ -470,6 +470,22 @@ class TestCmdFit:
         ])
         assert code == 3
 
+    def test_constant_covariate_named_by_its_column(self, tmp_path, capsys):
+        # columns are numbered in [1, covariates]: x is 1 and the constant c is 2
+        rng = np.random.default_rng(4)
+        x, e, w = rng.normal(size=50), rng.normal(size=50), rng.uniform(1.0, 3.0, size=50)
+        path = tmp_path / "d.csv"
+        _write_csv(path, ["y", "x", "c", "w"], np.column_stack([x + e, x, np.full(50, 2.0), w]).tolist())
+        code = main([
+            "fit", "--data", str(path), "--outcome", "y",
+            "--covariates", "x", "c", "--weights", "w",
+            "--family", "gaussian", "--seed", "1",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical error: design matrix is rank deficient (column 2)\n"
+        )
+
 
 class TestCmdSimulate:
     def test_single_replicate_aggregates_match_record(self, tmp_path, capsys):

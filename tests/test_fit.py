@@ -377,7 +377,20 @@ class TestFitWeightedGlm:
         x = rng.normal(size=n)
         X = np.column_stack([np.ones(n), x, 2.0 * x])
         d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n))
-        assert self._named_column(X, d, rng.normal(size=n)) in (1, 2)
+        assert self._named_column(X, d, rng.normal(size=n)) == 2
+
+    def test_named_column_is_a_combination_of_those_before_it(self):
+        # a constant c >= 1 beside the intercept loads the intercept most on
+        # the last right singular vector; the constant is still the one named
+        rng = np.random.default_rng(7)
+        n = 50
+        x, z, y = rng.normal(size=(3, n))
+        d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n))
+        one = np.ones(n)
+        for c in (0.5, 1.0, 2.0, 7.0):
+            assert self._named_column(np.column_stack([one, x, c * one]), d, y) == 2
+            assert self._named_column(np.column_stack([one, c * one, x]), d, y) == 1
+        assert self._named_column(np.column_stack([one, x, z, x + z]), d, y) == 3
 
     def test_repeated_intercept_names_one_of_its_copies(self):
         rng = np.random.default_rng(7)
