@@ -240,8 +240,9 @@ def _rule_sums(rule: PredictionRule, Y: np.ndarray, mu: np.ndarray, loss: Loss):
     trains: the rule's means with lambda-hat and its (m, n) threshold mask,
     then lambda-hat with e, so at most three (m, n) doubles and one mask,
     25 m bytes per unit, when every row trained; rows are copied only when
-    one failed.  The kNN vote itself holds three too: scipy copies Y.T to
-    C order for W @ Y.T.
+    one failed.  The kNN vote holds three too: one C-ordered copy of Y.T
+    that its shells' products share, the votes, and one shell's product
+    until it is added.
 
     Bits follow memory order: sum(axis=0) adds a C-ordered block's rows one
     after another but an F-ordered one's, such as the kNN vote block's,

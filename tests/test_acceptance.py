@@ -22,7 +22,7 @@ from svyerr.penalty import (
 )
 from svyerr.rules import _neighbour_weights, _standardize, knn_error_report
 from svyerr.simulate import ScenarioSpec, run_optimism_experiment
-from test_rules import _dense_neighbour_weights
+from test_rules import _dense_neighbour_weights, _summed_shells
 from test_simulate import brute_force_optimism, run_relative_error_experiment
 
 GAUSS = Family(FamilyKind.GAUSSIAN)
@@ -246,14 +246,15 @@ def test_criterion_11_knn_error_table_shape():
         inc = all(a <= b + 1e-12 for a, b in zip(errs, errs[1:]))
         dec = all(a >= b - 1e-12 for a, b in zip(omegas, omegas[1:]))
         ok_seeds += inc and dec
-        # the tree's neighbour matrices are the dense build's, entry for entry
+        # the tree's shells, summed up to each k, are the dense build's
+        # neighbour matrices, entry for entry
         Z = _standardize(X, design.weights)[0]
-        W = _neighbour_weights(Z, design.weights, k_list)
+        W = _summed_shells(_neighbour_weights(Z, design.weights, k_list))
         dense = [_dense_neighbour_weights(Z, design.weights, k, Z) for k in k_list]
         same_sets += all(
-            np.array_equal(W[k].indptr, D.indptr) and np.array_equal(W[k].indices, D.indices)
-            and np.array_equal(W[k].data, D.data)
-            for k, D in zip(k_list, dense)
+            np.array_equal(Wk.indptr, D.indptr) and np.array_equal(Wk.indices, D.indices)
+            and np.array_equal(Wk.data, D.data)
+            for Wk, D in zip(W, dense)
         )
     _verdict(
         11,

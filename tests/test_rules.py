@@ -1,6 +1,7 @@
 """Design-weighted kNN classification and its bootstrap error table."""
 
 import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -38,18 +39,53 @@ def _loop_neighbour_sets(Z, k, Z_query):
     return out
 
 
-def _dense_neighbour_weights(Z, weights, k, Z_query):
-    """Reference neighbour weights from the full (query, training) squared-distance matrix.
+def _dense_sets(Z, k_list, Z_query):
+    """Reference neighbour sets from the full (query, training) squared-distance matrix.
 
-    The k-th smallest squared distance of each row sets the tie threshold
+    One (query, training) mask per k, in the order of ``k_list``.  The k-th
+    smallest squared distance of each row sets the tie threshold
     kth + 1e-12 (1 + kth), as in the library; memory is O(query x training).
     """
     d2 = np.zeros((Z_query.shape[0], Z.shape[0]))
     for c in range(Z.shape[1]):  # no (query, training, column) temporary
         d2 += (Z_query[:, None, c] - Z[None, :, c]) ** 2
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-    rows, cols = np.nonzero(d2 <= (kth + 1e-12 * (1.0 + kth))[:, None])
-    return sparse.csr_array((weights[cols], (rows, cols)), shape=d2.shape)
+    out = []
+    for k in k_list:
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        out.append(d2 <= (kth + 1e-12 * (1.0 + kth))[:, None])
+    return out
+
+
+def _masked_weights(weights, mask):
+    rows, cols = np.nonzero(mask)
+    return sparse.csr_array((weights[cols], (rows, cols)), shape=mask.shape)
+
+
+def _dense_neighbour_weights(Z, weights, k, Z_query):
+    """Reference neighbour weights W_k: the survey weights of the dense neighbour sets."""
+    return _masked_weights(weights, _dense_sets(Z, [k], Z_query)[0])
+
+
+def _dense_neighbour_shells(Z, weights, k_list, Z_query):
+    """Reference shells: in ascending k, the dense set of each k less the previous k's."""
+    sets = _dense_sets(Z, sorted(k_list), Z_query)
+    return [_masked_weights(weights, s & ~prev)
+            for s, prev in zip(sets, [np.zeros_like(sets[0])] + sets[:-1])]
+
+
+def _summed_shells(shells):
+    """Each k's neighbour weights W_k: the shells up to k, added in ascending k."""
+    return list(itertools.accumulate(shells))
+
+
+def _shell_votes(shells, Y):
+    """Reference votes of the shells' neighbour count, one outcome row at a time.
+
+    Each shell's product and row sums are added in ascending k, as the
+    library's vote rule adds them.
+    """
+    wsums = sum(s.sum(axis=1) for s in shells)
+    return np.stack([sum(s @ y for s in shells) / wsums for y in Y])
 
 
 def _assert_same_csr(got, want):
@@ -82,8 +118,9 @@ def _neighbour_case(kind, n=40):
 def test_neighbour_weights_match_loop_oracle(kind, k):
     X, y, d, query = _neighbour_case(kind)
     Z, Z_query = _standardized_query(X, d.weights, query)
+    ks = [1, 13, 40]
     for Zq in (Z, Z_query):  # in-sample, then off-sample query rows
-        W = _neighbour_weights(Z, d.weights, [k], Zq)[k]
+        W = _summed_shells(_neighbour_weights(Z, d.weights, ks, Zq))[ks.index(k)]
         sets = _loop_neighbour_sets(Z, k, Zq)
         for i, idx in enumerate(sets):
             cols = W.indices[W.indptr[i]:W.indptr[i + 1]]
@@ -118,7 +155,7 @@ def _tree_case(kind, rng):
     return X, rng.integers(0, 7, size=(25, 1)) / 2.0
 
 
-@pytest.mark.parametrize("k_list", [[1, 7, 30], [1, 119], [1, 120], [60, 120]])
+@pytest.mark.parametrize("k_list", [[1, 7, 30], [1, 119], [1, 120], [60, 120], [30, 1, 7]])
 @pytest.mark.parametrize("kind", TREE_CASES)
 def test_tree_neighbour_weights_equal_dense_oracle(kind, k_list):
     # k_list [1, 119] queries all n candidates (k_max + 1 = n); [1, 120] asks for n + 1
@@ -128,15 +165,18 @@ def test_tree_neighbour_weights_equal_dense_oracle(kind, k_list):
     d = SurveyDesign(pi=rng.uniform(0.2, 1.0, size=n))
     y = (rng.random(n) < 0.5).astype(float)
     Z, Z_query = _standardized_query(X, d.weights, query)
-    for Zq in (None, Z_query):
-        W = _neighbour_weights(Z, d.weights, k_list, Zq)
-        assert list(W) == k_list
-        for k in k_list:
-            _assert_same_csr(W[k], _dense_neighbour_weights(
-                Z, d.weights, k, Z if Zq is None else Zq))
-    for k in k_list:  # knn_rule, one tree per k, reaches the same matrices
-        want = _dense_neighbour_weights(Z, d.weights, k, Z)
-        np.testing.assert_array_equal(knn_rule(X, d, k)(y[None])[0], (want @ y) / want.sum(axis=1))
+    ks = sorted(k_list)
+    for Zq in (Z, Z_query):
+        shells = _neighbour_weights(Z, d.weights, k_list, None if Zq is Z else Zq)
+        assert len(shells) == len(k_list)
+        for got, want in zip(shells, _dense_neighbour_shells(Z, d.weights, ks, Zq)):
+            _assert_same_csr(got, want)
+        for W, k in zip(_summed_shells(shells), ks):  # W_k, entry for entry
+            _assert_same_csr(W, _dense_neighbour_weights(Z, d.weights, k, Zq))
+    # the rules vote through the shells of the weights scaled to a smallest weight of 1
+    want = _dense_neighbour_shells(Z, d.weights / d.weights.min(), ks, Z)
+    for k, rule in zip(k_list, rules._vote_rules(X, d, k_list)):
+        np.testing.assert_array_equal(rule(y[None]), _shell_votes(want[:ks.index(k) + 1], y[None]))
 
 
 def test_knn_rule_memory_is_not_quadratic():
@@ -155,15 +195,22 @@ def test_knn_rule_memory_is_not_quadratic():
 
 
 class TestWorkingSet:
-    def test_knn_error_report_peak(self):
-        # bound from the rules and penalty docstrings, in bytes per unit: the
-        # neighbour weights keep 12 per neighbour, 12 sum(k); a block of m
-        # replicates adds three (m, n) doubles and an (m, n) mask, 25 m; each
-        # rule keeps its running sums, base fit and vote totals, 40 per rule;
-        # 32 doubles more cover the covariates, the generating fit and the
-        # rest.  The neighbour build's own peak, 12 K + 12 sum(k) + K with
-        # K = k_max + 1, stays below that here.
-        n, ks, B = 20_000, [10, 20, 30, 40], 32  # one block of 32 replicates
+    @staticmethod
+    def _peak_per_unit(n, ks):
+        """knn_error_report's traced peak in bytes per unit, B = 32, and its bound.
+
+        The bound comes from the rules and penalty docstrings, in bytes per
+        unit: the shells store each neighbour of k_max once, 12 k_max, and
+        an indptr entry per k, 4 per k; a block of m replicates is 8 m,
+        and the rule training on it adds three (m, n) doubles and an (m, n)
+        mask, 25 m; each rule keeps its running sums, base fit and vote
+        totals, 40 per rule; 16 doubles more cover the generating fit's
+        (n, p + 1) design matrix and fitted vectors and the rest.  The
+        neighbour build's own peak, 20 K while it sorts the distances and
+        14 K + 12 k_max + 4 per k while it cuts the shells, with
+        K = k_max + 1, stays below that here.
+        """
+        B, m = 32, min(32, penalty._BLOCK)  # one block of 32 replicates
         rng = np.random.default_rng(7)
         X = rng.normal(size=(n, 2))
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X[:, 0] + 0.5 * X[:, 1])))).astype(float)
@@ -177,7 +224,17 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert [k for k, _ in reports] == ks
-        assert peak / n <= 12 * sum(ks) + 25 * min(B, penalty._BLOCK) + 40 * len(ks) + 8 * 32
+        return peak / n, 12 * max(ks) + 4 * len(ks) + 8 * m + 25 * m + 40 * len(ks) + 8 * 16
+
+    def test_knn_error_report_peak(self):
+        peak, bound = self._peak_per_unit(20_000, [10, 20, 30, 40])
+        assert peak <= bound
+
+    def test_twenty_k_grid_peak_grows_with_k_max_not_sum_k(self):
+        # one neighbour matrix per k held 12 sum(k) = 12,600 bytes per unit
+        # for these twenty k, 274 MiB at n = 20,000
+        peak, bound = self._peak_per_unit(10_000, list(range(5, 105, 5)))
+        assert peak <= bound
 
     def test_constant_covariate_rejected_in_constant_memory(self):
         # with X's one column constant every distance is 0, so every unit ties
@@ -299,6 +356,27 @@ class TestKnnPredict:
         votes_perm = knn_rule(X[perm], d_perm, k=5)(y[perm][None])[0]
         np.testing.assert_allclose(votes_perm, votes[perm], atol=1e-12)
 
+    def test_equal_weights_vote_exact_halves_one_for_any_constant_pi(self):
+        # a constant pi scales every weight alike, so it must leave the votes
+        # alone; a set with as many ones as zeros votes exactly 1/2, and the
+        # 0-1 tie rule counts 1/2 as a vote for 1
+        n, ks = 2_000, [10, 20, 30, 40]
+        rng = np.random.default_rng([1, 77])
+        X = rng.normal(size=(n, 2))
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-0.3 * (0.2 + X[:, 0] + X[:, 1])))).astype(float)
+        votes = {}
+        for pi in (0.3, 0.5, 0.7):
+            d = SurveyDesign(pi=np.full(n, pi))
+            votes[pi] = np.stack([rule(y[None])[0] for rule in rules._vote_rules(X, d, ks)])
+        np.testing.assert_array_equal(votes[0.3], votes[0.5])
+        np.testing.assert_array_equal(votes[0.7], votes[0.5])
+        Z = _standardize(X, d.weights)[0]
+        for vote, s in zip(votes[0.5], _dense_sets(Z, ks, Z)):
+            half = 2 * (s @ y) == s.sum(axis=1)
+            assert half.sum() >= 50
+            np.testing.assert_array_equal(vote[half], 0.5)
+            assert (families.lambda_hat(Loss(LossKind.ZERO_ONE), vote[half]) == 1.0).all()
+
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(6)
         X, y, d = _binary_data(rng, n=35)
@@ -313,7 +391,7 @@ class TestKnnRule:
         rng = np.random.default_rng(7)
         X, y, d = _binary_data(rng, n=50)
         Z, Z_query = _standardized_query(X, d.weights, X)
-        W = _neighbour_weights(Z, d.weights, [7], Z_query)[7]
+        [W] = _neighbour_weights(Z, d.weights, [7], Z_query)
         np.testing.assert_allclose(knn_rule(X, d, k=7)(y[None])[0], (W @ y) / W.sum(axis=1),
                                    atol=1e-12)
 
@@ -322,9 +400,9 @@ class TestKnnRule:
         X, _, d, _ = _neighbour_case(kind, n=60)
         rng = np.random.default_rng(12)
         Y = (rng.random((37, 60)) < 0.5).astype(float)
-        mu = knn_rule(X, d, k=9)(Y)
-        W = _neighbour_weights(_standardize(X, d.weights)[0], d.weights, [9])[9]
-        want = np.stack([(W @ y) / W.sum(axis=1) for y in Y])
+        mu = rules._vote_rules(X, d, [4, 9])[1](Y)  # two shells
+        Z = _standardize(X, d.weights)[0]
+        want = _shell_votes(_dense_neighbour_shells(Z, d.weights / d.weights.min(), [4, 9], Z), Y)
         np.testing.assert_array_equal(mu, want)
 
 
@@ -512,16 +590,83 @@ class TestLinearVoteOracle:
         y = (rng.random(n) < prob).astype(float)
         d = SurveyDesign(weights=1.0 / rng.uniform(0.1, 1.0, size=n))
         gen = fit_weighted_glm(np.column_stack([np.ones(n), X]), y, Family(FamilyKind.BERNOULLI), d)
-        W = _neighbour_weights(_standardize(X, d.weights)[0], d.weights, ks)
-        vote_rules = [rules._vote_rule(W[k]) for k in ks]
+        W = _summed_shells(_neighbour_weights(_standardize(X, d.weights)[0], d.weights, ks))
+        vote_rules = rules._vote_rules(X, d, ks)
         loss = Loss(LossKind.SQUARED_ERROR)
         omega_hat = np.array([
             [r.omega_hat for r in reports]
             for reports in penalty._bootstrap_reports(vote_rules, gen, B, range(R), loss)
         ])
         for j, k in enumerate(ks):
-            s_ii = W[k].diagonal() / W[k].sum(axis=1)
+            s_ii = W[j].diagonal() / W[j].sum(axis=1)
             omega = 2.0 * d.mean(s_ii * gen.mu * (1.0 - gen.mu))
             se = omega_hat[:, j].std(ddof=1) / np.sqrt(R)
             z = (omega_hat[:, j].mean() - omega) / se
             assert abs(z) <= 3.0, f"k={k}: bootstrap mean {omega_hat[:, j].mean():.6f}, closed form {omega:.6f}, z={z:+.2f}"
+
+
+def _poisson_binomial(values, probs):
+    """Law of sum_j values_j y_j for independent y_j ~ Bernoulli(probs_j): (atoms, masses).
+
+    Each term is convolved in by doubling the atoms; atoms that land within
+    1e-12 of each other merge into the smaller.  The atoms double with
+    each distinct term, so this is for small sets.
+    """
+    atoms, mass = np.zeros(1), np.ones(1)
+    for v, p in zip(values, probs):
+        atoms = np.concatenate([atoms, atoms + v])
+        mass = np.concatenate([mass * (1.0 - p), mass * p])
+        order = np.argsort(atoms, kind="stable")
+        atoms, mass = atoms[order], mass[order]
+        first = np.concatenate([[True], np.diff(atoms) > 1e-12])
+        mass = np.bincount(np.cumsum(first) - 1, weights=mass)
+        atoms = atoms[first]
+    return atoms, mass
+
+
+def _exact_zero_one_omega(W, mu, design):
+    """The bootstrap's target under 0-1 loss for the vote through neighbour weights W.
+
+    With independent draws y*_j ~ Bernoulli(mu_j), lambda-hat_i = +-1
+    follows y*_i exactly when T_i = sum_{j != i} W_ij y*_j lies in
+    [S_i/2 - W_ii, S_i/2), S_i the row's weight total, so
+    cov(lambda-hat_i, y*_i) = 2 mu_i (1 - mu_i) P(T_i in that window), with
+    T_i's law a Poisson-binomial over the row's other neighbours (Efron
+    2004; Hong 2013).  omega is twice the HT mean of that covariance.
+    """
+    cov = np.empty(W.shape[0])
+    for i in range(W.shape[0]):
+        cols, w = (a[W.indptr[i]:W.indptr[i + 1]] for a in (W.indices, W.data))
+        own = cols == i
+        atoms, mass = _poisson_binomial(w[~own], mu[cols[~own]])
+        half = w.sum() / 2.0
+        p = mass[(atoms >= half - w[own][0]) & (atoms < half)].sum()
+        cov[i] = 2.0 * mu[i] * (1.0 - mu[i]) * p
+    return 2.0 * design.mean(cov)
+
+
+class TestZeroOneTargetOracle:
+    """Under the 0-1 loss that ``svyerr knn`` runs, the vote is not linear in
+    the outcomes, but for one k small enough the bootstrap's target still has
+    an exact value: each unit's covariance is a Poisson-binomial window
+    probability.  The bootstrap must meet it within its Monte Carlo error,
+    estimated across seeds.
+    """
+
+    def test_bootstrap_mean_within_3_se_of_exact_target(self):
+        n, k, B, seeds = 300, 10, 400, range(300, 500)
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(n, 2))
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X[:, 0] + X[:, 1])))).astype(float)
+        d = SurveyDesign(weights=1.0 / rng.uniform(0.1, 1.0, size=n))
+        gen = fit_weighted_glm(np.column_stack([np.ones(n), X]), y, Family(FamilyKind.BERNOULLI), d)
+        [W] = _neighbour_weights(_standardize(X, d.weights)[0], d.weights, [k])
+        target = _exact_zero_one_omega(W, gen.mu, d)
+        assert target == pytest.approx(0.140983, abs=5e-7)
+        omega_hat = np.array([
+            r.omega_hat for [r] in penalty._bootstrap_reports(
+                rules._vote_rules(X, d, [k]), gen, B, seeds, Loss(LossKind.ZERO_ONE))
+        ])
+        se = omega_hat.std(ddof=1) / np.sqrt(len(seeds))
+        z = (omega_hat.mean() - target) / se
+        assert abs(z) <= 3.0, f"bootstrap mean {omega_hat.mean():.6f}, exact {target:.6f}, z={z:+.2f}"
